@@ -7,13 +7,15 @@ entries whose processing failed.  :class:`ServerlessExecutor` and
 :class:`CleanupFunction` model exactly that loop.
 
 Both are :class:`~repro.runtime.Service`\\ s: the executor runs one
-named worker per unit of *concurrency* and the cleanup function runs a
-single periodic worker, so they can be composed under a
-:class:`~repro.runtime.Supervisor` (see ``repro.ripple.service``).
+named worker per unit of *concurrency*, all woken by sends to the
+queue, and the cleanup function runs a single periodic worker, so they
+can be composed under a :class:`~repro.runtime.Supervisor` (see
+``repro.ripple.service``).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Optional
 
 from repro.errors import ReceiptInvalid
@@ -38,7 +40,6 @@ class ServerlessExecutor(Service):
         handler: Callable[[Any], None],
         concurrency: int = 2,
         batch_size: int = 10,
-        poll_interval: float = 0.005,
         on_error: Optional[Callable[[Any, BaseException], None]] = None,
         registry=None,
     ) -> None:
@@ -49,8 +50,11 @@ class ServerlessExecutor(Service):
         self.handler = handler
         self.concurrency = concurrency
         self.batch_size = batch_size
-        self.poll_interval = poll_interval
         self.on_error = on_error
+        # One wake for every worker: a send sets it, and the worker
+        # that clears it first takes the message.
+        self._wake = threading.Event()
+        queue.wakers.add(self._wake)
         self._invocations = self.metrics.counter("invocations")
         self._successes = self.metrics.counter("successes")
         self._failures = self.metrics.counter("failures")
@@ -113,14 +117,12 @@ class ServerlessExecutor(Service):
 
     def worker_specs(self) -> list[WorkerSpec]:
         return [
-            WorkerSpec(
-                f"lambda-{index}",
-                self.poll_once,
-                idle_wait=self.poll_interval,
-                max_idle_wait=max(self.poll_interval, 0.05),
-            )
+            WorkerSpec(f"lambda-{index}", self.poll_once, wake=self._wake)
             for index in range(self.concurrency)
         ]
+
+    def on_close(self) -> None:
+        self.queue.wakers.remove(self._wake)
 
 
 class CleanupFunction(Service):

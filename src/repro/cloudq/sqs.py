@@ -9,6 +9,7 @@ from typing import Any, Dict, Optional
 
 from repro.errors import QueueNotFound, ReceiptInvalid
 from repro.util.clock import Clock, WallClock
+from repro.util.wakers import Wakers
 
 
 @dataclass
@@ -38,6 +39,11 @@ class ReliableQueue:
     With *max_receives* set, messages that have been received that many
     times without deletion move to the *dead_letter* queue instead of
     reappearing (the standard SQS redrive policy).
+
+    Registered :attr:`wakers` are set whenever a message becomes
+    receivable through a send or a re-drive, so consumers block instead
+    of polling.  (A visibility timeout expiring rings nothing; consumers
+    re-check on their own timeout.)
     """
 
     def __init__(
@@ -64,6 +70,8 @@ class ReliableQueue:
         self.total_deleted = 0
         self.total_dead_lettered = 0
         self.total_receives = 0
+        #: Readiness events set whenever a message becomes receivable.
+        self.wakers = Wakers()
 
     # -- producer ------------------------------------------------------------
 
@@ -78,7 +86,8 @@ class ReliableQueue:
             )
             self._order.append(message_id)
             self.total_sent += 1
-            return message_id
+        self.wakers.ring()
+        return message_id
 
     # -- consumer -----------------------------------------------------------
 
@@ -174,6 +183,8 @@ class ReliableQueue:
                     self._receipts.pop(message.receipt, None)
                     message.receipt = None
                     redriven += 1
+        if redriven:
+            self.wakers.ring()
         return redriven
 
     def _drop(self, message_id: str) -> None:

@@ -34,6 +34,7 @@ instance attributes.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -154,11 +155,12 @@ class Aggregator(Service):
         #: grows it under inbound pressure, shrinks it when publish
         #: latency dominates).  The config stays frozen.
         self.flush_batch_events = self.config.batch_events
-        # Worker specs are built once and reused so live tuning of the
-        # pump cadence (``flush_interval``) reaches the running loop —
-        # _run_worker re-reads idle_wait every iteration.
-        self._pump_spec = WorkerSpec("pump", self.pump_once, idle_wait=0.001)
-        self._api_spec = WorkerSpec("api", self.serve_api_once, idle_wait=0.001)
+        # Each worker wakes on its own socket: a report batch landing
+        # on the PULL mailbox rings the pump, a request the API.
+        self._pump_wake = threading.Event()
+        self._api_wake = threading.Event()
+        self.inbound.wakers.add(self._pump_wake)
+        self.api.wakers.add(self._api_wake)
         # Pipeline counters (shared registry; property shims below).
         self._batches_received = self.metrics.counter("batches_received")
         self._events_stored = self.metrics.counter("events_stored")
@@ -279,18 +281,6 @@ class Aggregator(Service):
         """(depth, capacity) of the inbound queue — the signal the
         adaptive flush controller tunes against."""
         return (self.inbound.pending, self.inbound.hwm)
-
-    @property
-    def flush_interval(self) -> float:
-        """Idle wait of the pump worker loop (live-tunable)."""
-        return self._pump_spec.idle_wait
-
-    @flush_interval.setter
-    def flush_interval(self, value: float) -> None:
-        self._pump_spec.idle_wait = value
-        self._pump_spec.max_idle_wait = max(
-            self._pump_spec.max_idle_wait, value
-        )
 
     def _flush_chunks(self, entries: list[tuple[int, FileEvent]]):
         """Split one same-topic run per the batch_events/batch_bytes policy."""
@@ -435,12 +425,17 @@ class Aggregator(Service):
     # -- service runtime -------------------------------------------------------
 
     def worker_specs(self) -> list[WorkerSpec]:
-        return [self._pump_spec, self._api_spec]
+        return [
+            WorkerSpec("pump", self.pump_once, wake=self._pump_wake),
+            WorkerSpec("api", self.serve_api_once, wake=self._api_wake),
+        ]
 
     def on_stop(self) -> None:
         self.pump_once()  # final flush
 
     def on_close(self) -> None:
+        self.inbound.wakers.remove(self._pump_wake)
+        self.api.wakers.remove(self._api_wake)
         self.inbound.close()
         self.publisher.close()
         self.api.close()

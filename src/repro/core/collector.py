@@ -19,14 +19,16 @@ restarts safe: a collector killed mid-poll and restarted re-reads the
 unpurged records and re-reports them.
 
 The collector is a :class:`~repro.runtime.Service`: live mode runs the
-``poll`` worker with idle backoff, counters live in the shared metrics
-registry (old attribute names remain readable as properties), and a
-:class:`~repro.runtime.Supervisor` can restart it after a crash.
+``poll`` worker, woken by its MDTs' ChangeLog appends; counters live in
+the shared metrics registry (old attribute names remain readable as
+properties), and a :class:`~repro.runtime.Supervisor` can restart it
+after a crash.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
@@ -61,8 +63,6 @@ class CollectorConfig:
         Maximum records pulled from a ChangeLog per poll.
     processor:
         Processing-stage configuration (batching/caching).
-    poll_interval:
-        Idle-backoff base between polls in live threaded mode.
     event_types:
         Optional server-side filter: only these normalized event kinds
         are reported to the aggregator (None = report everything, the
@@ -79,7 +79,6 @@ class CollectorConfig:
 
     read_batch: int = 256
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
-    poll_interval: float = 0.002
     event_types: Optional[frozenset] = None
     batch_events: int = 0
     batch_bytes: int = 0
@@ -123,10 +122,17 @@ class Collector(Service):
         self.flush_batch_events = self.config.batch_events
         self.resolver = resolver or FidResolver(filesystem)
         self.processor = EventProcessor(self.resolver, self.config.processor)
-        # Register one changelog user per MDT on this MDS.
+        # Register one changelog user per MDT on this MDS, and one wake
+        # shared by every MDT's ChangeLog: an append anywhere on this
+        # MDS wakes the poll worker.
         self._users: dict[int, str] = {
             mdt.index: mdt.changelog.register_user() for mdt in mds.mdts
         }
+        self._wake = threading.Event()
+        for mdt in mds.mdts:
+            mdt.changelog.wakers.add(self._wake)
+        #: Records cleared so far — the poll worker's progress measure.
+        self._records_consumed = 0
         self._log = get_logger(f"core.collector.{name}")
         # Pipeline counters (shared registry; see property shims below).
         self._records_read = self.metrics.counter("records_read")
@@ -228,6 +234,7 @@ class Collector(Service):
                         },
                     )
             mdt.changelog.clear(user, records[-1].index)
+            self._records_consumed += len(records)
         return reported
 
     def _flush_chunks(self, events: list[FileEvent]) -> list[list[FileEvent]]:
@@ -310,15 +317,16 @@ class Collector(Service):
 
     # -- service runtime ------------------------------------------------------
 
+    def _poll_step(self) -> int:
+        """Worker step: progress is records cleared, not events
+        reported — an all-filtered poll moved on (re-poll at once), a
+        failed report did not (wait for the next ring or re-check)."""
+        before = self._records_consumed
+        self.poll_once()
+        return self._records_consumed - before
+
     def worker_specs(self) -> list[WorkerSpec]:
-        return [
-            WorkerSpec(
-                "poll",
-                self.poll_once,
-                idle_wait=self.config.poll_interval,
-                max_idle_wait=max(self.config.poll_interval, 0.05),
-            )
-        ]
+        return [WorkerSpec("poll", self._poll_step, wake=self._wake)]
 
     def on_stop(self) -> None:
         self.drain(max_rounds=100)  # flush on shutdown
@@ -326,6 +334,7 @@ class Collector(Service):
     def on_close(self) -> None:
         # Deregister changelog users (releases purge pointers).
         for mdt in self.mds.mdts:
+            mdt.changelog.wakers.remove(self._wake)
             user = self._users.pop(mdt.index, None)
             if user is not None:
                 mdt.changelog.deregister_user(user)

@@ -7,7 +7,8 @@ which uses the historic-event API to fetch what it missed — the
 fault-tolerance mechanism the paper describes.
 
 Consumers are :class:`~repro.runtime.Service` instances: live mode runs
-a ``poll`` worker with idle backoff, a final poll on stop delivers
+a ``poll`` worker woken by its subscription socket (every PUB message
+that lands rings it), a final poll on stop delivers
 whatever the aggregator flushed during shutdown, and counters live in
 the shared metrics registry (legacy attribute names stay readable).
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import logging
+import threading
 from typing import Callable, Optional
 
 from repro.core.aggregator import AggregatorConfig
@@ -28,6 +30,30 @@ from repro.runtime import Service, WorkerSpec, call_with_pump
 from repro.util.logging import get_logger
 
 EventCallback = Callable[[int, FileEvent], None]
+
+
+def _check_signature(callback, name: str, expected: str, *calls) -> None:
+    """Raise TypeError unless *callback* accepts one of the *calls*.
+
+    A callback with the wrong shape would otherwise only fail inside
+    the poll worker — crashing it, and losing the batch to the restart.
+    Callables without an introspectable signature are trusted.
+    """
+    if not callable(callback):
+        raise TypeError(f"{name} must be callable as {expected}: {callback!r}")
+    try:
+        signature = inspect.signature(callback)
+    except (TypeError, ValueError):
+        return
+    for args in calls:
+        try:
+            signature.bind(*args)
+            return
+        except TypeError:
+            continue
+    raise TypeError(
+        f"{name} must accept {expected}; {callback!r} takes {signature}"
+    )
 
 
 class Consumer(Service):
@@ -47,6 +73,12 @@ class Consumer(Service):
         ] = None,
         path_prefix: Optional[str] = None,
     ) -> None:
+        _check_signature(callback, "callback", "(seq, event)", (0, None))
+        if batch_callback is not None:
+            _check_signature(
+                batch_callback, "batch_callback",
+                "(entries) or (entries, source)", ([],), ([], None),
+            )
         super().__init__(name, registry, scope=f"consumer.{name}")
         self.context = context
         self.config = config or AggregatorConfig()
@@ -86,6 +118,8 @@ class Consumer(Service):
             .subscribe(self.topic)
         )
         self.api = context.req().connect(self.config.api_endpoint)
+        self._wake = threading.Event()
+        self.subscription.wakers.add(self._wake)
         #: High-water marks keyed by event *source* — the ``shard``
         #: label on published batches, or ``None`` for an unlabelled
         #: (single-aggregator) publisher.  Sequence numbers are only
@@ -94,7 +128,6 @@ class Consumer(Service):
         #: shard's fresh events would compare below the fast shard's
         #: mark and be dropped as "duplicates".
         self.watermarks: dict[Optional[str], int] = {}
-        self.poll_interval = 0.005
         #: Historic-API page size used by :meth:`catch_up`: missed
         #: events are fetched in bounded chunks so one request never
         #: materialises the whole retained window.
@@ -368,26 +401,14 @@ class Consumer(Service):
 
     # -- service runtime ---------------------------------------------------------
 
-    def start(self, poll_interval: float | None = None) -> None:
-        """Consume continuously under the service runtime."""
-        if poll_interval is not None:
-            self.poll_interval = poll_interval
-        super().start()
-
     def worker_specs(self) -> list[WorkerSpec]:
-        return [
-            WorkerSpec(
-                "poll",
-                self.poll_once,
-                idle_wait=self.poll_interval,
-                max_idle_wait=max(self.poll_interval, 0.05),
-            )
-        ]
+        return [WorkerSpec("poll", self.poll_once, wake=self._wake)]
 
     def on_stop(self) -> None:
         self.poll_once()  # deliver anything flushed during shutdown
 
     def on_close(self) -> None:
+        self.subscription.wakers.remove(self._wake)
         self.subscription.close()
         self.api.close()
 

@@ -172,7 +172,9 @@ class GatewayServer(Service):
     # -- service plumbing ----------------------------------------------------
 
     def worker_specs(self) -> list[WorkerSpec]:
-        return [WorkerSpec("loop", self._loop_step)]
+        # The step runs the event loop until stop, so it needs no
+        # wake-up of its own.
+        return [WorkerSpec("loop", self._loop_step, interval=0.0)]
 
     def _loop_step(self) -> int:
         if self._sock is None:

@@ -26,6 +26,7 @@ from typing import Dict, Iterator, Optional
 from repro.errors import ChangelogError, ChangelogUserError
 from repro.lustre.fid import Fid
 from repro.util.clock import Clock, WallClock
+from repro.util.wakers import Wakers
 
 
 class RecordType(IntEnum):
@@ -176,7 +177,9 @@ class ChangeLog:
     """An MDT's changelog with registered users and purge pointers.
 
     Thread-safe: clients append from application threads while collector
-    threads read and clear concurrently.
+    threads read and clear concurrently.  Every recorded append rings
+    the registered :attr:`wakers`, so a collector blocks until there is
+    something to read instead of polling.
     """
 
     def __init__(
@@ -202,6 +205,8 @@ class ChangeLog:
         self._mask: frozenset[RecordType] = frozenset(RecordType)
         #: Records suppressed by the mask (observability).
         self.mask_suppressed = 0
+        #: Readiness events set on every recorded append (collectors).
+        self.wakers = Wakers()
 
     # -- user registration ---------------------------------------------------
 
@@ -292,6 +297,7 @@ class ChangeLog:
                 del self._records[:dropped]
                 self._first_index += dropped
                 self.overflow_drops += dropped
+            self.wakers.ring()
             return record
 
     # -- read / clear --------------------------------------------------------

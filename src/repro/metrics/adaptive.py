@@ -5,12 +5,11 @@ PR 3 gave every stage a latency histogram (``pipeline.aggregate``,
 occupancy (queue depth against its high-water mark).  This module
 closes the loop: an :class:`AdaptiveFlushController` periodically reads
 those signals and retunes each shard's **flush batch size** — the
-``batch_events`` ceiling on one published :class:`EventBatch` — and,
-where the target supports it, the pump's idle interval:
+``batch_events`` ceiling on one published :class:`EventBatch`:
 
 * **Inbound pressure** (occupancy above ``pressure_ratio``) means the
   shard is falling behind: grow the batch ceiling so each pump
-  amortises fabric work over more events, and pump more eagerly.
+  amortises fabric work over more events.
 * **Pressure gone but publish latency high** (occupancy under
   ``relax_ratio`` while the ``publish`` stage p95 exceeds
   ``target_publish_p95``) means batches are oversized for the load:
@@ -62,10 +61,6 @@ class FlushTuning:
     #: Publish-stage p95 (seconds) above which a relaxed shard's
     #: ceiling shrinks — latency is paid without pressure to justify it.
     target_publish_p95: float = 0.05
-    #: Pump idle interval applied to pressured / relaxed shards when
-    #: the target exposes ``flush_interval`` (the inproc Aggregator).
-    pressured_interval: float = 0.0005
-    relaxed_interval: float = 0.002
 
     def __post_init__(self) -> None:
         if self.min_batch_events < 1:
@@ -146,7 +141,6 @@ class AdaptiveFlushController(Service):
                     tuning.max_batch_events,
                     int(effective * tuning.grow_factor),
                 )
-                self._set_interval(target, tuning.pressured_interval)
             elif (
                 ratio <= tuning.relax_ratio
                 and publish_p95 > tuning.target_publish_p95
@@ -155,17 +149,11 @@ class AdaptiveFlushController(Service):
                     tuning.min_batch_events,
                     int(effective * tuning.shrink_factor),
                 )
-                self._set_interval(target, tuning.relaxed_interval)
             if new != current:
                 target.flush_batch_events = new
                 self._adjustments.inc()
                 adjusted += 1
         return adjusted
-
-    @staticmethod
-    def _set_interval(target: Any, value: float) -> None:
-        if hasattr(type(target), "flush_interval"):
-            target.flush_interval = value
 
     def worker_specs(self) -> list[WorkerSpec]:
         return [WorkerSpec("tick", self.tick, interval=self.interval)]

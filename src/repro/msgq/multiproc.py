@@ -30,6 +30,14 @@ and nothing is delivered twice.  (The child's in-memory historic
 window does not survive the restart — the live stream is the
 loss-free path, as for a PUB message missed by a slow joiner.)
 
+**Waking.**  The bridge never polls.  Its ``bridge`` worker is woken by
+its own PULL and REP sockets (a report or a request arriving); a
+``reader`` worker blocks on the child→parent queue's pipe and the
+child's process sentinel together, and runs a pump whenever either is
+ready — so acks, publications and replies are handled as they arrive,
+a child that dies is respawned at once, and reports held back by a
+full child inbox move on as soon as the child acks.
+
 Children are started with the ``spawn`` method by default: forking a
 multi-threaded parent (supervisor sweeps, worker loops, queue feeder
 threads) risks cloning held locks; a fresh interpreter does not.
@@ -46,6 +54,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
+from multiprocessing.connection import wait
 from typing import Any, Optional
 
 from repro.errors import WouldBlock
@@ -73,6 +82,10 @@ DEFAULT_RELAY_INTERVAL = 0.25
 #: draining its PULL socket (backpressure propagates to collectors
 #: through the socket's own credits).
 DEFAULT_INBOX_FRAMES = 64
+
+#: Longest the reader worker blocks on the child before re-checking
+#: for a stop (seconds): stopping a bridge waits up to this long.
+_READER_TIMEOUT = 0.05
 
 #: The child's capture subscription must never drop a publication —
 #: it is drained after every batch, so depth stays one batch deep.
@@ -285,6 +298,9 @@ class ProcessShardBridge(Service):
             config.publish_endpoint
         )
         self.api = context.rep(hwm=config.hwm).bind(config.api_endpoint)
+        self._wake = threading.Event()
+        self.inbound.wakers.add(self._wake)
+        self.api.wakers.add(self._wake)
         self._mp = multiprocessing.get_context(start_method)
         self._inbox_frames = inbox_frames
         self._inbox_q = None
@@ -357,6 +373,7 @@ class ProcessShardBridge(Service):
         with self._pump_lock:
             self._flush_batch_events = int(value)
             self._tuning_dirty = True
+        self._wake.set()
 
     @property
     def busy(self) -> bool:
@@ -607,8 +624,7 @@ class ProcessShardBridge(Service):
         want-pubs/tuning sync (control frames precede data in the
         FIFO), then report/API forwarding, then the child's output.
         *timeout* is accepted for Aggregator signature compatibility;
-        the bridge never blocks — the service worker's idle backoff
-        provides the waiting.
+        the bridge never blocks — its service workers do the waiting.
         """
         with self._pump_lock:
             work = self._ensure_child()
@@ -628,12 +644,30 @@ class ProcessShardBridge(Service):
 
     # -- service runtime ----------------------------------------------------
 
-    def worker_specs(self) -> list[WorkerSpec]:
-        return [
-            WorkerSpec(
-                "bridge", self.pump_once,
-                idle_wait=0.0005, max_idle_wait=0.01,
+    def _read_child(self) -> None:
+        """Reader step: block until the child has output (or has died),
+        then pump.
+
+        The queue and process are re-read every step, so a respawn
+        (which replaces both) is picked up on the next wait; a wait
+        broken by a respawn closing the old queue just pumps again.
+        """
+        with self._pump_lock:
+            events_q, proc = self._events_q, self._proc
+        try:
+            ready = wait(
+                [events_q._reader, proc.sentinel], timeout=_READER_TIMEOUT
             )
+        except (OSError, ValueError):
+            ready = True
+        if ready:
+            self.pump_once()
+
+    def worker_specs(self) -> list[WorkerSpec]:
+        # The reader blocks in its own step, so it runs back to back.
+        return [
+            WorkerSpec("bridge", self.pump_once, wake=self._wake),
+            WorkerSpec("reader", self._read_child, interval=0.0),
         ]
 
     def on_stop(self) -> None:
@@ -645,6 +679,8 @@ class ProcessShardBridge(Service):
                 time.sleep(0.002)
 
     def on_close(self) -> None:
+        self.inbound.wakers.remove(self._wake)
+        self.api.wakers.remove(self._wake)
         with self._pump_lock:
             self._shutdown_child()
         self.inbound.close()

@@ -18,6 +18,10 @@ credits free up; and a sender may mark messages sheddable
 (``shed_priority``) so that under HWM pressure expendable traffic is
 dropped — counted, highest priority first — instead of blocking the
 pipeline behind it.
+
+Receiving sockets (PULL, SUB, REP) also accept *wakers*: events that
+are set whenever a message lands in the socket's queue, so a service
+worker can block until its input is ready instead of polling.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Any, Callable, Deque, Optional
 
 from repro.errors import MessagingError, SocketClosed, WouldBlock
 from repro.msgq.context import Context
+from repro.util.wakers import Wakers
 
 
 class Socket:
@@ -80,6 +85,9 @@ class _Mailbox:
     backpressure is observable before the mark is hit (the services
     export it as a registry gauge).  ``requeue`` deliberately bypasses
     the mark, so credits floor at zero rather than going negative.
+
+    Every enqueue also rings :attr:`wakers` — the readiness events of
+    the woken service workers that consume this mailbox.
     """
 
     def __init__(self, hwm: int) -> None:
@@ -95,6 +103,7 @@ class _Mailbox:
         #: Messages dropped by sender-requested shedding (distinct from
         #: ``dropped``, the receiver-side overflow counter).
         self.shed = 0
+        self.wakers = Wakers()
 
     @property
     def credits(self) -> int:
@@ -114,6 +123,7 @@ class _Mailbox:
             self._queue.append(item)
             self.delivered += 1
             self._ready.notify()
+            self.wakers.ring()
             return True
 
     def put(self, item: Any, timeout: Optional[float] = None) -> bool:
@@ -127,6 +137,7 @@ class _Mailbox:
             self._queue.append(item)
             self.delivered += 1
             self._ready.notify()
+            self.wakers.ring()
             return True
 
     def _shed_locked(
@@ -254,6 +265,7 @@ class _Mailbox:
                             self._queue.extend(pending[cursor:])
                             self.delivered += leftover
                             self._ready.notify_all()
+                            self.wakers.ring()
                             admitted += leftover
                             cursor += leftover
                     break
@@ -265,6 +277,7 @@ class _Mailbox:
                 self._queue.extend(pending[cursor:cursor + wave])
                 self.delivered += wave
                 self._ready.notify_all()
+                self.wakers.ring()
                 admitted += wave
                 cursor += wave
             return admitted if shed_priorities is None else (admitted, shed)
@@ -285,6 +298,7 @@ class _Mailbox:
         with self._lock:
             self._queue.extendleft(reversed(items))
             self._ready.notify_all()
+            self.wakers.ring()
 
     def get_many(
         self,
@@ -457,6 +471,11 @@ class SubSocket(Socket):
         return len(self._mailbox)
 
     @property
+    def wakers(self) -> Wakers:
+        """Readiness events set whenever a message lands here."""
+        return self._mailbox.wakers
+
+    @property
     def hwm(self) -> int:
         """This subscriber's queue capacity."""
         return self._mailbox.hwm
@@ -529,6 +548,11 @@ class PullSocket(Socket):
     @property
     def pending(self) -> int:
         return len(self._mailbox)
+
+    @property
+    def wakers(self) -> Wakers:
+        """Readiness events set whenever a message lands here."""
+        return self._mailbox.wakers
 
     @property
     def hwm(self) -> int:
@@ -665,6 +689,11 @@ class RepSocket(Socket):
     def hwm(self) -> int:
         """Capacity of the pending-request queue."""
         return self._requests.hwm
+
+    @property
+    def wakers(self) -> Wakers:
+        """Readiness events set whenever a request arrives."""
+        return self._requests.wakers
 
     @property
     def pending(self) -> int:

@@ -13,7 +13,8 @@ concrete backend:
 * ``req``/``rep`` — lock-step request/reply with one-shot reply
   channels.
 * high-water marks and credit-based flow control on every receiving
-  socket (see :class:`~repro.msgq.sockets._Mailbox`).
+  socket (see :class:`~repro.msgq.sockets._Mailbox`), plus readiness
+  ``wakers`` so service workers block instead of polling.
 
 Backends:
 

@@ -16,14 +16,16 @@ Filesystem access is abstracted so the same agent code runs over the
 in-memory local filesystem and the Lustre model.
 
 The agent is a :class:`~repro.runtime.Service`: live mode runs one
-``pump`` worker draining detection sources and executing routed
-actions, and ``start()``/``stop()`` also manage the attached watchdog
-observer.  Counters live in the agent's metrics registry; the old
-attribute names (``events_reported`` etc.) remain readable properties.
+``pump`` worker, woken by every routed action, draining detection
+sources and executing routed actions, and ``start()``/``stop()`` also
+manage the attached watchdog observer.  Counters live in the agent's
+metrics registry; the old attribute names (``events_reported`` etc.)
+remain readable properties.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
@@ -102,6 +104,8 @@ class RippleAgent(Service):
         self._storage_monitor = None
         #: Action requests routed to this agent, awaiting execution.
         self.inbox: Deque[ActionRequest] = deque()
+        # Rung by enqueue_action so the pump runs an action at once.
+        self._wake = threading.Event()
         #: Named container images and callables available to actions.
         self.containers: Dict[str, Callable] = {}
         self.callables: Dict[str, Callable] = {}
@@ -251,7 +255,7 @@ class RippleAgent(Service):
         return moved
 
     def worker_specs(self) -> list[WorkerSpec]:
-        return [WorkerSpec("pump", self.pump_once)]
+        return [WorkerSpec("pump", self.pump_once, wake=self._wake)]
 
     def on_start(self) -> None:
         # The observer keeps its own pump; starting it here means a
@@ -355,6 +359,7 @@ class RippleAgent(Service):
         if request.created_ts is None and self.tracer.sample():
             request.created_ts = self.tracer.now()
         self.inbox.append(request)
+        self._wake.set()
 
     def execute_pending(self) -> list[ActionResult]:
         """Execute every queued action; report results to the service."""

@@ -5,9 +5,9 @@ Consumers, watchdog Observers, serverless workers, Ripple agents —
 runs on this runtime instead of hand-rolled daemon-thread loops:
 
 * :class:`Service` — idempotent ``start()/stop()/close()``, named
-  worker loops with exponential idle backoff, crash detection, and the
-  uniform ``stats()``/``health()`` protocol over a shared
-  :class:`~repro.metrics.MetricsRegistry`.
+  worker loops (woken by their readiness source, or periodic), crash
+  detection, and the uniform ``stats()``/``health()`` protocol over a
+  shared :class:`~repro.metrics.MetricsRegistry`.
 * :class:`Supervisor` — dependency-ordered start / reverse-order stop
   of child services, plus crash restart under a :class:`RestartPolicy`.
 * :func:`call_with_pump` — the deterministic REQ/REP helper used to

@@ -10,12 +10,19 @@ factors that out:
 * **Idempotent lifecycle** — ``start()`` twice is a no-op, ``stop()``
   joins workers and runs the flush hook, ``close()`` after ``stop()``
   is safe and releases resources exactly once.
-* **Named worker loops with idle backoff** — a worker repeatedly calls
-  a step function; when the step reports no work the loop waits on the
-  stop event with exponential backoff (``idle_wait`` up to
-  ``max_idle_wait``), replacing the busy-spin ``continue`` loops the
-  components used to ship.  Periodic workers (``interval=...``) instead
-  wait a fixed period between steps (sweepers, samplers).
+* **Named worker loops, woken or periodic** — a worker repeatedly
+  calls a step function in one of two modes.  A *woken* worker
+  (``wake=...``) owns a :class:`threading.Event` that its readiness
+  source rings: it clears the wake, runs the step, and when the step
+  found no work blocks on the wake (``max_idle_wait`` is only a
+  safety-net re-check, not a poll period).  The ringers are the
+  sources themselves — a socket mailbox on every delivery (aggregator
+  pump and API, consumer subscriptions, the process bridge), a
+  ChangeLog on every append (collectors), a reliable queue on every
+  send (serverless executors), an agent's action inbox.  A *periodic*
+  worker (``interval=...``) waits a fixed period before every step
+  (sweepers, samplers); ``interval=0`` suits a step that blocks on its
+  own socket or pipe with a timeout.
 * **Crash detection** — an exception escaping a step marks the service
   ``CRASHED`` and records the error; a :class:`~repro.runtime.Supervisor`
   notices and applies its restart policy.
@@ -65,22 +72,38 @@ class WorkerSpec:
 
     step:
         Called repeatedly while the service runs.  Its return value is
-        the amount of work done; falsy means idle, which triggers
-        backoff.  An escaping exception crashes the service.
-    idle_wait / max_idle_wait:
-        Exponential-backoff bounds for idle polls.  Any completed work
-        resets the backoff to ``idle_wait``.
+        the amount of work done; falsy means idle.  An escaping
+        exception crashes the service.
+    wake:
+        Makes the worker *woken*: the event is cleared before every
+        step, and after an idle step the worker blocks until something
+        sets it.  Whatever feeds the step's work must set it — a ring
+        made while the step runs is kept, so the next step follows at
+        once.  ``stop()`` sets it too.
+    max_idle_wait:
+        Longest a woken worker blocks without a ring before re-running
+        its step — a safety net for readiness that no ringer reports
+        (e.g. a visibility timeout expiring), not a poll period.
     interval:
-        When set, the worker is periodic instead of work-driven: it
-        waits *interval* seconds (interruptible by stop) before every
-        step, ignoring the step's return value.
+        Makes the worker *periodic*: it waits *interval* seconds
+        (interruptible by stop) before every step, ignoring the step's
+        return value.
+
+    Exactly one of *wake* and *interval* must be given.
     """
 
     name: str
     step: Callable[[], Any]
-    idle_wait: float = 0.002
+    wake: Optional[threading.Event] = None
     max_idle_wait: float = 0.05
     interval: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if (self.wake is None) == (self.interval is None):
+            raise ValueError(
+                f"worker {self.name!r} needs exactly one of wake= "
+                "(woken) or interval= (periodic)"
+            )
 
 
 class Service:
@@ -102,12 +125,17 @@ class Service:
         self._lifecycle_lock = threading.RLock()
         self._halt = threading.Event()
         self._worker_threads: list[threading.Thread] = []
+        self._worker_wakes: list[threading.Event] = []
         self._state = ServiceState.NEW
         self._closed = False
         #: Times this service was restarted by a supervisor.
         self.restart_count = 0
         #: The exception that crashed the service (if any).
         self.last_error: Optional[BaseException] = None
+        #: Woken steps that found no work: the re-check after every
+        #: step that did work, safety-net re-checks, and rings whose
+        #: work another worker took first.
+        self._idle_wakeups = self.metrics.counter("idle_wakeups")
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -165,7 +193,9 @@ class Service:
             self._worker_threads = []
             self._state = ServiceState.RUNNING
             self.on_start()
-            for spec in self.worker_specs():
+            specs = self.worker_specs()
+            self._worker_wakes = [s.wake for s in specs if s.wake is not None]
+            for spec in specs:
                 thread = threading.Thread(
                     target=self._run_worker,
                     args=(spec,),
@@ -181,6 +211,8 @@ class Service:
             if self._state not in (ServiceState.RUNNING, ServiceState.CRASHED):
                 return
             self._halt.set()
+            for wake in self._worker_wakes:
+                wake.set()
             current = threading.current_thread()
             for thread in self._worker_threads:
                 if thread is not current:
@@ -209,19 +241,17 @@ class Service:
     # -- worker loop --------------------------------------------------------
 
     def _run_worker(self, spec: WorkerSpec) -> None:
-        backoff = spec.idle_wait
         try:
-            while not self._halt.is_set():
-                if spec.interval is not None:
-                    if self._halt.wait(spec.interval):
-                        break
+            if spec.interval is not None:
+                while not self._halt.wait(spec.interval):
                     spec.step()
-                    continue
-                if spec.step():
-                    backoff = spec.idle_wait
-                else:
-                    self._halt.wait(backoff)
-                    backoff = min(backoff * 2, spec.max_idle_wait)
+                return
+            wake = spec.wake
+            while not self._halt.is_set():
+                wake.clear()
+                if not spec.step():
+                    self._idle_wakeups.inc()
+                    wake.wait(spec.max_idle_wait)
         except BaseException as exc:
             self.last_error = exc
             self._state = ServiceState.CRASHED

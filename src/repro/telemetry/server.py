@@ -141,13 +141,12 @@ class TelemetryServer(Service):
     # -- service plumbing ---------------------------------------------------
 
     def worker_specs(self) -> list[WorkerSpec]:
-        return [WorkerSpec("serve", self._serve_step)]
+        # handle_request blocks on the listening socket itself (up to
+        # server.timeout), so the worker runs it back to back.
+        return [WorkerSpec("serve", self._serve_step, interval=0.0)]
 
-    def _serve_step(self) -> int:
+    def _serve_step(self) -> None:
         self.server.handle_request()
-        # Always "worked": handle_request owns its own timeout-based
-        # waiting, so idle backoff on top would only add latency.
-        return 1
 
     def on_close(self) -> None:
         self.server.server_close()

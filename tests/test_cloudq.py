@@ -193,8 +193,7 @@ class TestServerlessExecutor:
 
         queue = ReliableQueue("live", visibility_timeout=5.0)
         handled = []
-        executor = ServerlessExecutor(queue, handled.append, concurrency=2,
-                                      poll_interval=0.001)
+        executor = ServerlessExecutor(queue, handled.append, concurrency=2)
         executor.start()
         try:
             for index in range(20):

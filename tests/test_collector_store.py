@@ -155,7 +155,7 @@ class TestLiveCollector:
     def test_threaded_collection(self, fs):
         import time
 
-        collector, received = make_collector(fs, poll_interval=0.001)
+        collector, received = make_collector(fs)
         collector.start()
         try:
             for index in range(10):

@@ -34,6 +34,7 @@ class Ticker(Service):
         self.started_hooks = 0
         self.stopped_hooks = 0
         self.closed_hooks = 0
+        self.wake = threading.Event()
 
     def tick(self):
         if self.fail_after is not None and len(self.ticks) >= self.fail_after:
@@ -42,7 +43,7 @@ class Ticker(Service):
         return 1
 
     def worker_specs(self):
-        return [WorkerSpec("tick", self.tick, idle_wait=0.001)]
+        return [WorkerSpec("tick", self.tick, wake=self.wake)]
 
     def on_start(self):
         self.started_hooks += 1
@@ -128,6 +129,112 @@ class TestServiceLifecycle:
         # A 10s-period sweeper never fires in 50ms — and stop does not
         # block for the rest of the period.
         assert sweeper.sweeps == 0
+
+
+class Woken(Service):
+    """A woken worker whose step takes work from a list of jobs.
+
+    ``max_idle_wait`` is 10 s, so only a ring can make it step again
+    within a test's deadline — a polling loop cannot pass these tests.
+    """
+
+    def __init__(self):
+        super().__init__("woken")
+        self.wake = threading.Event()
+        self.jobs = []
+        self.done = []
+        self.steps = 0
+        #: Called once, inside the next step, after it drained the jobs.
+        self.after_drain = None
+
+    def step(self):
+        self.steps += 1
+        moved = 0
+        while self.jobs:
+            self.done.append((self.jobs.pop(0), time.monotonic()))
+            moved += 1
+        if self.after_drain is not None:
+            hook, self.after_drain = self.after_drain, None
+            hook()
+        return moved
+
+    def worker_specs(self):
+        return [
+            WorkerSpec("step", self.step, wake=self.wake, max_idle_wait=10.0)
+        ]
+
+    def ring(self, job):
+        self.jobs.append(job)
+        self.wake.set()
+
+
+def settle(service):
+    """Wait until the worker has taken its first, idle step."""
+    assert wait_for(lambda: service.steps >= 1)
+    time.sleep(0.02)
+
+
+class TestWokenWorkers:
+    def test_rung_worker_steps_within_50ms(self):
+        service = Woken()
+        service.start()
+        try:
+            settle(service)
+            rung = time.monotonic()
+            service.ring("a")
+            assert wait_for(lambda: service.done, timeout=1.0)
+            assert service.done[0][1] - rung < 0.05
+        finally:
+            service.close()
+
+    def test_ring_during_a_step_is_not_lost(self):
+        service = Woken()
+        service.start()
+        try:
+            settle(service)
+            # An idle step (woken with nothing to do) sees a job arrive
+            # after its drain: the step reports no work, so only the
+            # ring it kept can run the next step before max_idle_wait.
+            service.after_drain = lambda: service.ring("late")
+            service.wake.set()
+            assert wait_for(lambda: service.done, timeout=1.0)
+            assert service.done[0][0] == "late"
+        finally:
+            service.close()
+
+    def test_stop_on_idle_woken_service_is_prompt(self):
+        service = Woken()
+        service.start()
+        settle(service)
+        begun = time.monotonic()
+        service.stop()
+        assert time.monotonic() - begun < 0.2
+        assert service.health()["workers"] == []
+        service.close()
+
+    def test_spec_needs_exactly_one_mode(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            WorkerSpec("idle", lambda: 0)
+        with pytest.raises(ValueError, match="exactly one"):
+            WorkerSpec(
+                "both", lambda: 0, wake=threading.Event(), interval=1.0
+            )
+
+    def test_idle_wakeups_counted(self):
+        service = Woken()
+        service.start()
+        try:
+            settle(service)
+            assert service.stats()["idle_wakeups"] == 1
+            service.wake.set()  # a ring with no work behind it
+            assert wait_for(lambda: service.stats()["idle_wakeups"] == 2)
+            service.ring("job")  # a ring with work: not idle
+            assert wait_for(lambda: service.done)
+            time.sleep(0.02)
+            # The useful step is followed by one idle re-check.
+            assert service.stats()["idle_wakeups"] == 3
+        finally:
+            service.close()
 
 
 class TestSupervisor:

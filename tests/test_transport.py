@@ -535,7 +535,7 @@ class TestAdaptiveFlushController:
         controller.tick()
         assert shard.flush_batch_events == 500
 
-    def test_tunes_aggregator_pump_interval(self):
+    def test_tunes_aggregator_batch_ceiling(self):
         registry = MetricsRegistry()
         transport = make_transport("inproc")
         aggregator = Aggregator(
@@ -551,9 +551,12 @@ class TestAdaptiveFlushController:
         controller = AdaptiveFlushController(
             registry, {"agg": aggregator}, tuning=tuning
         )
-        controller.tick()
+        assert controller.tick() == 1
         assert aggregator.flush_batch_events == 256
-        assert aggregator.flush_interval == tuning.pressured_interval
+        # Nothing was pumped, so the shard is still pressured and the
+        # ceiling keeps growing by the tuning's factor.
+        assert controller.tick() == 1
+        assert aggregator.flush_batch_events == 256 * tuning.grow_factor
 
     def test_invalid_tuning_rejected(self):
         with pytest.raises(ValueError):
