@@ -193,8 +193,8 @@ class TestClusterIngestBench:
         )
 
     def build(self, tag):
-        from repro.cluster import ShardMap, ShardRouter, ShardRoutingSink
-        from repro.core.monitor import PushSink
+        from repro.core.monitor import PushSink, ShardRoutingSink
+        from repro.core.router import ShardMap, ShardRouter
 
         context = Context()
         shard_ids = tuple(f"shard{i}" for i in range(self.SHARDS))
@@ -242,7 +242,7 @@ class TestClusterIngestBench:
         assert sum(stored.values()) == sum(len(b) for b in batches)
         # Rendezvous routing is deterministic over the shard-id set, so
         # each shard must have stored exactly its routed share.
-        from repro.cluster import ShardMap
+        from repro.core.router import ShardMap
 
         shard_map = ShardMap(tuple(shards))
         expected = {shard_id: 0 for shard_id in shards}

@@ -86,16 +86,17 @@ class TestLiveIngestBatching:
         monitor, seen = benchmark.pedantic(
             self.run_monitor, args=(batch_events,), rounds=3, iterations=1
         )
-        n_events = monitor.aggregator.events_stored
+        aggregator = monitor.shard_handles["shard0"]
+        n_events = aggregator.events_stored
         assert len(seen) == n_events
         if batch_events == 1:
             # Per-event flush: one PUB message per event.
-            assert monitor.aggregator.batches_published == n_events
+            assert aggregator.batches_published == n_events
         else:
             # Whole-poll batches: PUB messages scale with polls, so the
             # fabric does far less work for the same delivered stream.
-            assert monitor.aggregator.batches_published < n_events / 10
+            assert aggregator.batches_published < n_events / 10
             assert (
-                monitor.aggregator.store.lock_acquisitions
-                <= monitor.aggregator.batches_received + 1
+                aggregator.store.lock_acquisitions
+                <= aggregator.batches_received + 1
             )

@@ -15,7 +15,7 @@ facility would deploy them:
 Run:  python examples/facility_rules.py
 """
 
-from repro.core import AggregatorConfig, LustreMonitor, MonitorConfig
+from repro.core import LustreMonitor, MonitorConfig
 from repro.core.client import MonitorClient
 from repro.core.consumer import Consumer
 from repro.core.relay import facility_relay
@@ -34,27 +34,14 @@ THEN command ON facility WITH command=delete src={path}
 """
 
 
-def build_monitor(fs, suffix):
-    return LustreMonitor(
-        fs,
-        MonitorConfig(
-            aggregator=AggregatorConfig(
-                inbound_endpoint=f"inproc://agg-{suffix}",
-                publish_endpoint=f"inproc://events-{suffix}",
-                api_endpoint=f"inproc://api-{suffix}",
-            )
-        ),
-    )
-
-
 def main() -> None:
     home = LustreFilesystem(num_mds=1)
     scratch = LustreFilesystem(num_mds=2)
     for fs in (home, scratch):
         fs.makedirs("/jobs")
         fs.makedirs("/archive")
-    home_monitor = build_monitor(home, "home")
-    scratch_monitor = build_monitor(scratch, "scratch")
+    home_monitor = LustreMonitor(home, MonitorConfig(namespace="home"))
+    scratch_monitor = LustreMonitor(scratch, MonitorConfig(namespace="scratch"))
 
     relay = facility_relay(
         [home_monitor, scratch_monitor], names=["home", "scratch"]

@@ -52,7 +52,7 @@ def demo_consumer_catch_up() -> None:
         lambda seq, ev: late_events.append(seq), name="late-joiner"
     )
     assert not late_events, "slow joiner misses the live stream"
-    missed = consumer.catch_up(api_server=monitor.aggregator)
+    missed = consumer.catch_up(api_server=monitor.shard_handles["shard0"])
     print(f"   late joiner recovered {missed} events via the historic API")
     assert missed == 10
     monitor.shutdown()

@@ -8,6 +8,11 @@ inventory and EXPERIMENTS.md for paper-vs-measured results.
 The most common entry points are re-exported here:
 
 >>> from repro import LustreFilesystem, LustreMonitor, RippleService
+
+``LustreMonitor`` is the one monitor: with its default single
+aggregator shard it is the paper's Figure 2, and
+``MonitorConfig(num_shards=N)`` spreads aggregation over N shards (the
+§6 scaling fix); ``repro.cluster`` adds the scatter-gather client.
 """
 
 from repro.core import (

@@ -261,7 +261,7 @@ def cmd_metrics_demo(args: argparse.Namespace) -> int:
 
 def cmd_cluster_demo(args: argparse.Namespace) -> int:
     """Run a sharded cluster, kill a shard, recover, print merged stats."""
-    from repro.cluster import ClusterConfig, ClusterMonitor
+    from repro.cluster import ClusterClient, ClusterConfig, ClusterMonitor
     from repro.lustre import LustreFilesystem
     from repro.lustre.mds import DnePolicy
     from repro.runtime import ServiceCrash
@@ -329,7 +329,7 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
         print(f"delivered {len(delivered)} events, {unique} unique paths")
 
         print("\n== merged cluster stats ==")
-        client = cluster.client()
+        client = ClusterClient.for_cluster(cluster)
         answer = client.stats()
         totals = answer["totals"]
         for metric in (

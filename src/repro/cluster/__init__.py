@@ -1,10 +1,13 @@
-"""Sharded aggregation tier: N aggregator shards as one logical monitor.
+"""Scatter-gather access to a sharded monitor.
 
-Takes the reproduction past the paper's single-aggregator design (its
-§6 scaling wall): a deterministic :class:`ShardRouter` spreads each
-MDT's report stream across :class:`ClusterMonitor`'s supervised
-aggregator shards, and :class:`ClusterClient` scatter-gathers the
-per-shard APIs back into one answer.
+A :class:`~repro.core.LustreMonitor` with ``num_shards > 1`` spreads
+each MDT's report stream across supervised aggregator shards (the fix
+for the paper's §6 single-aggregator wall); :class:`ClusterClient`
+scatter-gathers the per-shard APIs back into one answer.
+
+``ClusterMonitor`` and ``ClusterConfig`` are plain aliases of
+:class:`~repro.core.LustreMonitor` and :class:`~repro.core.MonitorConfig`
+— there is one monitor, and a cluster is a monitor with more shards.
 """
 
 from repro.cluster.client import (
@@ -14,13 +17,8 @@ from repro.cluster.client import (
     decode_cursor,
     encode_cursor,
 )
-from repro.cluster.monitor import (
-    ClusterConfig,
-    ClusterMonitor,
-    ClusterStats,
-    ShardRoutingSink,
-)
-from repro.cluster.router import ShardMap, ShardRouter, rendezvous_score
+from repro.core.monitor import LustreMonitor as ClusterMonitor
+from repro.core.monitor import MonitorConfig as ClusterConfig
 
 __all__ = [
     "AsyncClusterClient",
@@ -30,9 +28,4 @@ __all__ = [
     "encode_cursor",
     "ClusterConfig",
     "ClusterMonitor",
-    "ClusterStats",
-    "ShardRoutingSink",
-    "ShardMap",
-    "ShardRouter",
-    "rendezvous_score",
 ]

@@ -146,7 +146,7 @@ class ClusterClient:
     def for_cluster(
         cls, cluster, timeout: float = 5.0, live: bool = False
     ) -> "ClusterClient":
-        """Build a client over every shard of a ClusterMonitor.
+        """Build a client over every shard of a LustreMonitor.
 
         Deterministic mode (the default) pumps each shard's API inline
         per request; ``live=True`` instead issues real REQ/REP requests
@@ -168,9 +168,7 @@ class ClusterClient:
                 shard_id: MonitorClient.for_aggregator(
                     cluster.context, shard, timeout=timeout
                 )
-                for shard_id, shard in getattr(
-                    cluster, "shard_handles", cluster.shards
-                ).items()
+                for shard_id, shard in cluster.shard_handles.items()
             }
         )
 

@@ -17,7 +17,10 @@ tolerance.  Pipeline (paper §4, Figure 2):
    historic events so consumers can recover after a disconnect.
 
 :class:`LustreMonitor` wires the whole thing to a
-:class:`~repro.lustre.LustreFilesystem`.
+:class:`~repro.lustre.LustreFilesystem`.  With one aggregator shard
+(the default) it is Figure 2; ``MonitorConfig(num_shards=N)`` spreads
+aggregation over N shards, the fix for the single-aggregator wall the
+paper names in §6.
 """
 
 from repro.core.events import (

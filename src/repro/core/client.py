@@ -36,10 +36,21 @@ class MonitorClient:
 
     @classmethod
     def for_monitor(cls, monitor, timeout: float = 5.0) -> "MonitorClient":
-        """Build a client wired to a LustreMonitor (deterministic mode)."""
-        client = cls(monitor.context, monitor.config.aggregator, timeout)
-        client.api_server = monitor.aggregator
-        return client
+        """Build a client wired to a 1-shard LustreMonitor's only shard
+        (deterministic mode).
+
+        A sharded monitor's history is split across its shards, so it
+        is refused rather than answered from shard0 alone: query it
+        through :class:`~repro.cluster.ClusterClient` instead.
+        """
+        if len(monitor.shard_handles) != 1:
+            raise ValueError(
+                f"MonitorClient addresses one shard but the monitor has "
+                f"{len(monitor.shard_handles)}; use "
+                f"ClusterClient.for_cluster(monitor)"
+            )
+        (shard,) = monitor.shard_handles.values()
+        return cls.for_aggregator(monitor.context, shard, timeout)
 
     @classmethod
     def for_aggregator(

@@ -198,17 +198,19 @@ class Consumer(Service):
 
     @property
     def last_seq(self) -> int:
-        """The single-publisher watermark (source ``None``).
+        """The watermark of the shard this consumer's ``api`` socket
+        addresses (``config.shard_label``; ``None`` for an unlabelled
+        aggregator) — the one :meth:`catch_up` pages from.
 
-        Pre-cluster name kept for compatibility: against one
-        unlabelled aggregator this is *the* watermark, exactly as
-        before.  Cluster consumers read :meth:`watermark` per shard.
+        Against a 1-shard monitor or one aggregator this is *the*
+        watermark; consumers of several shards read :meth:`watermark`
+        per shard.
         """
-        return self.watermarks.get(None, 0)
+        return self.watermarks.get(self.config.shard_label, 0)
 
     @last_seq.setter
     def last_seq(self, value: int) -> None:
-        self.watermarks[None] = value
+        self.watermarks[self.config.shard_label] = value
 
     def watermark(self, source: Optional[str] = None) -> int:
         """Highest sequence number delivered from *source*."""
@@ -369,11 +371,13 @@ class Consumer(Service):
         synchronously (issued from a helper thread to keep REQ/REP
         lock-step semantics intact).
 
-        *source* selects which watermark to page from and advance —
-        pass the shard label when this consumer's ``api`` socket points
-        at one shard of a cluster (cluster-wide catch-up is
+        *source* selects which watermark to page from and advance; it
+        defaults to the label of the shard this consumer's ``api``
+        socket points at (cluster-wide catch-up is
         ``ClusterClient.catch_up``, which loops the shards).
         """
+        if source is None:
+            source = self.config.shard_label
         self._catch_ups.inc()
         recovered = 0
         while True:

@@ -134,8 +134,11 @@ def facility_relay(
 ) -> RelayAggregator:
     """Build a relay over several LustreMonitors (one per filesystem).
 
-    The relay gets its own messaging context with distinct endpoints so
-    its consumers do not collide with per-monitor consumers.
+    The relay subscribes to every shard's publish endpoint of every
+    monitor; each upstream is labelled ``<name>.<shard>`` (``fs0.shard0``
+    by default).  The relay gets its own messaging context with
+    distinct endpoints so its consumers do not collide with per-monitor
+    consumers.
     """
     relay_config = config or AggregatorConfig(
         inbound_endpoint="inproc://facility-aggregator",
@@ -145,10 +148,11 @@ def facility_relay(
     relay = RelayAggregator(make_transport("inproc"), relay_config)
     for index, monitor in enumerate(monitors):
         label = names[index] if names else f"fs{index}"
-        relay.add_upstream(
-            monitor.config.aggregator.publish_endpoint,
-            name=label,
-            topic=monitor.config.aggregator.publish_topic,
-            upstream_context=monitor.context,
-        )
+        for shard_id, shard_config in monitor.shard_configs.items():
+            relay.add_upstream(
+                shard_config.publish_endpoint,
+                name=f"{label}.{shard_id}",
+                topic=shard_config.publish_topic,
+                upstream_context=monitor.context,
+            )
     return relay

@@ -608,7 +608,7 @@ def attach_gateway(
     config: Optional[GatewayConfig] = None,
     consumer_name: str = "gateway-feed",
 ) -> GatewayServer:
-    """Wire a gateway onto a :class:`~repro.cluster.ClusterMonitor`.
+    """Wire a gateway onto a :class:`~repro.core.LustreMonitor`.
 
     Builds the live scatter-gather client, the auth store (sharing the
     cluster's registry so tenant series land in one scrape), the

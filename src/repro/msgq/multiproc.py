@@ -274,7 +274,7 @@ class ProcessShardBridge(Service):
     Duck-types the slice of :class:`~repro.core.aggregator.Aggregator`
     the rest of the system touches — ``config``, ``pump_once``,
     ``serve_api_once``, ``worker_specs``, the occupancy/flush-tuning
-    hooks — so `ClusterMonitor`/`LustreMonitor` swap it in per shard
+    hooks — so `LustreMonitor` swaps it in per shard
     based on the transport config and nothing downstream changes.
     """
 

@@ -31,8 +31,7 @@ Backends:
 
 :func:`make_transport` resolves a transport URL/name (``"inproc"``,
 ``"multiproc"``, or the ``scheme://`` form) to a backend instance —
-the config-field hook ``MonitorConfig.transport`` /
-``ClusterConfig.transport`` use.
+the config-field hook ``MonitorConfig.transport`` uses.
 """
 
 from __future__ import annotations

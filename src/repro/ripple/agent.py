@@ -211,7 +211,8 @@ class RippleAgent(Service):
     def attach_lustre_monitor(self, monitor) -> None:
         """Subscribe this agent to a :class:`~repro.core.LustreMonitor`.
 
-        The subscription delivers whole published batches, so the agent
+        One subscription covers every aggregator shard of the monitor.
+        It delivers whole published batches, so the agent
         filters each batch through the compiled index in one call
         (sharing trie walks across same-directory runs) instead of
         paying a full filter pass per event.

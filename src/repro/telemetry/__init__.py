@@ -14,9 +14,10 @@ Four cooperating pieces, assembled by :class:`TelemetryPlane`:
 * :class:`~repro.telemetry.recorder.FlightRecorder` — rolling registry
   snapshots dumped to JSON on alert firing or service crash.
 
-``LustreMonitor`` and ``ClusterMonitor`` build a plane when configured
-with ``telemetry_port=`` and add its services to their supervision
-tree; everything also composes by hand for tests and embedders.
+``LustreMonitor`` builds a plane when configured with
+``telemetry_port=`` (or ``telemetry=``) and adds its services to its
+supervision tree, whatever its shard count; everything also composes
+by hand for tests and embedders.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Backpressure behaviour and a day-in-the-life workload replay."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -45,7 +47,7 @@ class TestBackpressure:
         # is the documented PUB/SUB behaviour — the store is the source
         # of truth; see the next test.)
         monitor.drain()
-        stored = [event.name for _seq, event in monitor.aggregator.store.since(0)]
+        stored = [event.name for _seq, event in monitor.shard_handles["shard0"].store.since(0)]
         assert stored == [f"f{i}" for i in range(100)]
         assert fs.changelogs()[0].backlog == 0
 
@@ -63,7 +65,7 @@ class TestBackpressure:
         )
         from repro.core.consumer import Consumer
 
-        slow_config = AggregatorConfig(hwm=3, batch_events=1)
+        slow_config = replace(monitor.shard_configs["shard0"], hwm=3)
         seen = []
         slow = Consumer(monitor.context, lambda seq, ev: seen.append(seq),
                         config=slow_config, name="slow")
@@ -72,10 +74,10 @@ class TestBackpressure:
             fs.create(f"/d/f{index}")
         for collector in monitor.collectors:
             collector.poll_once()
-        monitor.aggregator.pump_once()
+        monitor.shard_handles["shard0"].pump_once()
         slow.poll_once()
         assert slow.dropped == 47
-        slow.catch_up(api_server=monitor.aggregator)
+        slow.catch_up(api_server=monitor.shard_handles["shard0"])
         assert seen == list(range(1, 51))
 
 

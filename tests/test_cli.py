@@ -118,6 +118,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "tracing disabled" in out
 
+    def test_health_demo(self, capsys):
+        code = main(["health-demo", "--num-mds", "2", "--events", "25"])
+        assert code == 0
+        out = capsys.readouterr().out
+        tree, snapshot = out.split("== registry snapshot ==")
+        for service in (
+            "shard0", "collector.mds0", "collector.mds1", "consumer.demo",
+        ):
+            assert f"{service} " in tree
+        assert tree.count("running  restarts=0") == 4
+        assert "shard0.events_stored" in snapshot
+
     def test_cluster_demo(self, capsys):
         code = main([
             "cluster-demo", "--shards", "3", "--num-mds", "2",

@@ -27,10 +27,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
+    ClusterClient,
     ClusterConfig,
     ClusterMonitor,
-    ShardMap,
-    ShardRouter,
     decode_cursor,
     encode_cursor,
 )
@@ -43,6 +42,7 @@ from repro.core import (
     MonitorConfig,
 )
 from repro.core.events import EventType, FileEvent
+from repro.core.router import ShardMap, ShardRouter
 from repro.lustre import LustreFilesystem
 from repro.lustre.mds import DnePolicy
 from repro.msgq import Context
@@ -380,7 +380,7 @@ class TestClusterEquivalence:
             cluster.subscribe(lambda seq, ev: None)
             populate(fs)
             cluster.drain()
-            client = cluster.client()
+            client = ClusterClient.for_cluster(cluster)
             for shard_id in cluster.shard_ids:
                 page = [
                     entry
@@ -497,7 +497,7 @@ class TestClusterClient:
     def test_events_since_merges_all_shards_in_total_order(self):
         fs, cluster, seen = self._drained_cluster()
         try:
-            client = cluster.client()
+            client = ClusterClient.for_cluster(cluster)
             merged = client.events_since(0)
             assert len(merged) == len(seen)
             assert {e for _s, _q, e in merged} == set(seen)
@@ -512,7 +512,7 @@ class TestClusterClient:
     def test_events_since_resumes_from_per_shard_cursors(self):
         fs, cluster, seen = self._drained_cluster()
         try:
-            client = cluster.client()
+            client = ClusterClient.for_cluster(cluster)
             cursors = client.last_seq()
             assert client.events_since(cursors) == []
             fs.create("/proj0/new.dat")
@@ -527,7 +527,7 @@ class TestClusterClient:
         the per-shard registry scopes exactly."""
         fs, cluster, seen = self._drained_cluster()
         try:
-            answer = cluster.client().stats()
+            answer = ClusterClient.for_cluster(cluster).stats()
             for metric in ("events_stored", "events_published", "store_len"):
                 expected = sum(
                     shard.metrics.snapshot().get(metric, 0)
@@ -546,7 +546,7 @@ class TestClusterClient:
             for i in range(3):
                 fs.create(f"/proj1/newest{i}.dat")
             cluster.drain()
-            newest = cluster.client().recent(3)
+            newest = ClusterClient.for_cluster(cluster).recent(3)
             assert {e.path for _s, _q, e in newest} == {
                 f"/proj1/newest{i}.dat" for i in range(3)
             }
@@ -556,7 +556,7 @@ class TestClusterClient:
     def test_query_filters_across_shards(self):
         fs, cluster, seen = self._drained_cluster()
         try:
-            client = cluster.client()
+            client = ClusterClient.for_cluster(cluster)
             under = client.query(path_prefix="/proj2")
             assert under
             for _shard, _seq, event in under:
@@ -571,7 +571,8 @@ class TestClusterClient:
     def test_metrics_exposition_covers_every_shard(self):
         fs, cluster, seen = self._drained_cluster()
         try:
-            exposition = cluster.client().metrics()["prometheus"]
+            client = ClusterClient.for_cluster(cluster)
+            exposition = client.metrics()["prometheus"]
             for shard_id in cluster.shard_ids:
                 # Shard scopes are reserved via unique_scope(), so they
                 # render as a scope label on one shared family.
@@ -589,7 +590,7 @@ class TestClusterClient:
             late = cluster.subscribe(
                 lambda seq, ev: late_events.append(ev), name="late"
             )
-            client = cluster.client()
+            client = ClusterClient.for_cluster(cluster)
             recovered = client.catch_up(late)
             assert recovered == len(seen)
             assert set(late_events) == set(seen)
@@ -635,7 +636,7 @@ class TestClusterCursorPaging:
         exactly — the boundary may fall mid-shard without loss."""
         fs, cluster, _seen = self._drained_cluster()
         try:
-            client = cluster.client()
+            client = ClusterClient.for_cluster(cluster)
             reference = client.events_since(0)
             walked, cursor = [], None
             while True:
@@ -654,7 +655,7 @@ class TestClusterCursorPaging:
     def test_cursor_resumes_across_new_events(self):
         fs, cluster, _seen = self._drained_cluster()
         try:
-            client = cluster.client()
+            client = ClusterClient.for_cluster(cluster)
             cursor = client.head_cursor()
             fs.create("/proj0/later.dat")
             cluster.drain()
@@ -668,7 +669,7 @@ class TestClusterCursorPaging:
     def test_cursor_tokens_are_opaque_and_validated(self):
         fs, cluster, _seen = self._drained_cluster()
         try:
-            client = cluster.client()
+            client = ClusterClient.for_cluster(cluster)
             token = client.head_cursor()
             watermarks = decode_cursor(token, client.shard_ids)
             assert set(watermarks) <= set(client.shard_ids)
@@ -683,7 +684,7 @@ class TestClusterCursorPaging:
     def test_async_facade_matches_sync_answers(self):
         fs, cluster, _seen = self._drained_cluster()
         try:
-            client = cluster.client()
+            client = ClusterClient.for_cluster(cluster)
             sync_entries, _ = client.events_since_all()
             sync_stats = client.stats()
 

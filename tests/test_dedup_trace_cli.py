@@ -21,7 +21,7 @@ class TestDedupingConsumer:
         consumer = DedupingConsumer(
             monitor.context,
             lambda seq, ev: seen.append(ev.record_index),
-            config=monitor.config.aggregator,
+            config=monitor.shard_configs["shard0"],
         )
         monitor.consumers.append(consumer)
 
@@ -78,7 +78,7 @@ class TestDedupingConsumer:
         consumer = DedupingConsumer(
             monitor.context,
             lambda seq, ev: seen.append((ev.mdt_index, ev.record_index)),
-            config=monitor.config.aggregator,
+            config=monitor.shard_configs["shard0"],
         )
         monitor.consumers.append(consumer)
         fs.mkdir("/a")  # mdt0

@@ -44,9 +44,10 @@ _processor_configs = st.sampled_from(
 class TestMonitorPathsMatchGroundTruth:
     @settings(max_examples=50, deadline=None)
     @given(operations=_operations, processor=_processor_configs,
-           read_batch=st.sampled_from([1, 3, 256]))
+           read_batch=st.sampled_from([1, 3, 256]),
+           num_shards=st.integers(min_value=1, max_value=3))
     def test_reported_paths_equal_applied_paths(
-        self, operations, processor, read_batch
+        self, operations, processor, read_batch, num_shards
     ):
         fs = LustreFilesystem(
             clock=ManualClock(), num_mds=2, dne_policy=DnePolicy.HASH
@@ -54,6 +55,7 @@ class TestMonitorPathsMatchGroundTruth:
         monitor = LustreMonitor(
             fs,
             MonitorConfig(
+                num_shards=num_shards,
                 collector=CollectorConfig(
                     read_batch=read_batch,
                     processor=ProcessorConfig(**processor),
@@ -78,13 +80,16 @@ class TestMonitorPathsMatchGroundTruth:
         for name in ("d0", "d1", "d2"):
             fs.mkdir(f"/{name}")
             expected.append((EventType.CREATED, f"/{name}", None))
-        monitor.drain()
+            monitor.drain()
 
         # Drain after every operation: fid2path resolution then happens
         # while the namespace matches the record, so ground truth is
         # the operation-time path.  (A final-only drain would resolve
         # parents to their *current* paths — also correct behaviour,
-        # but with different expectations; see the docstring.)  Caches
+        # but with different expectations; see the docstring.)  One
+        # operation per drain also makes the delivery order the
+        # operation order with several shards, which publish in shard
+        # order within a drain.  Caches
         # persist across drains, so directory renames processed in one
         # drain must invalidate entries used by the next — the exact
         # staleness hazard this property guards.

@@ -136,22 +136,15 @@ class TestStorageMonitorFacade:
 
 
 class TestRelayAggregator:
-    def _monitor_with_endpoints(self, suffix):
-        from repro.core import AggregatorConfig, MonitorConfig
+    def _monitor(self, suffix):
+        from repro.core import MonitorConfig
 
         fs = LustreFilesystem(clock=ManualClock())
-        config = MonitorConfig(
-            aggregator=AggregatorConfig(
-                inbound_endpoint=f"inproc://agg-{suffix}",
-                publish_endpoint=f"inproc://events-{suffix}",
-                api_endpoint=f"inproc://api-{suffix}",
-            )
-        )
-        return fs, LustreMonitor(fs, config)
+        return fs, LustreMonitor(fs, MonitorConfig(namespace=suffix))
 
     def test_relay_merges_two_filesystems(self):
-        fs_a, monitor_a = self._monitor_with_endpoints("a")
-        fs_b, monitor_b = self._monitor_with_endpoints("b")
+        fs_a, monitor_a = self._monitor("a")
+        fs_b, monitor_b = self._monitor("b")
         relay = facility_relay([monitor_a, monitor_b], names=["home", "scratch"])
         merged = []
         from repro.core.consumer import Consumer
@@ -171,11 +164,11 @@ class TestRelayAggregator:
         ]
         # Relay assigns its own gapless sequence numbers.
         assert [seq for seq, _path in merged] == [1, 2]
-        assert relay.relayed_counts == {"home": 1, "scratch": 1}
+        assert relay.relayed_counts == {"home.shard0": 1, "scratch.shard0": 1}
 
     def test_relay_historic_api_covers_merged_stream(self):
-        fs_a, monitor_a = self._monitor_with_endpoints("a2")
-        fs_b, monitor_b = self._monitor_with_endpoints("b2")
+        fs_a, monitor_a = self._monitor("a2")
+        fs_b, monitor_b = self._monitor("b2")
         relay = facility_relay([monitor_a, monitor_b])
         for index in range(3):
             fs_a.create(f"/a{index}")
@@ -186,6 +179,44 @@ class TestRelayAggregator:
         assert relay.store.last_seq == 6
         since = relay.store.since(4)
         assert len(since) == 2
+
+    def test_relay_covers_every_shard_of_a_sharded_monitor(self):
+        """A relay over a 2-shard monitor delivers the same event set as
+        a subscriber attached to the monitor directly."""
+        from collections import Counter
+
+        from repro.cluster import ClusterConfig, ClusterMonitor
+        from repro.core.consumer import Consumer
+        from repro.lustre import DnePolicy
+
+        fs = LustreFilesystem(
+            clock=ManualClock(), num_mds=2, mdts_per_mds=2,
+            dne_policy=DnePolicy.ROUND_ROBIN,
+        )
+        monitor = ClusterMonitor(
+            fs, ClusterConfig(num_shards=2, namespace="sharded-relay")
+        )
+        direct = []
+        monitor.subscribe(
+            lambda _seq, ev: direct.append((ev.event_type, ev.path))
+        )
+        relay = facility_relay([monitor], names=["site"])
+        relayed = []
+        consumer = Consumer(
+            relay.context,
+            lambda _seq, ev: relayed.append((ev.event_type, ev.path)),
+            config=relay.config,
+        )
+        for index in range(8):
+            fs.makedirs(f"/d{index}")
+            fs.create(f"/d{index}/f")
+        monitor.drain()
+        relay.pump_once()
+        consumer.poll_once()
+        assert len(direct) == 16
+        assert Counter(relayed) == Counter(direct)
+        assert set(relay.relayed_counts) == {"site.shard0", "site.shard1"}
+        assert all(count > 0 for count in relay.relayed_counts.values())
 
     def test_relay_can_also_accept_direct_batches(self):
         from repro.core import AggregatorConfig
@@ -213,18 +244,11 @@ class TestRelayOrderingProperty:
     def test_per_upstream_order_preserved(self):
         """Events from one filesystem keep their relative order through
         the relay, whatever the interleaving with other upstreams."""
-        from repro.core import AggregatorConfig, MonitorConfig
+        from repro.core import MonitorConfig
 
         def make(suffix):
             fs = LustreFilesystem(clock=ManualClock())
-            config = MonitorConfig(
-                aggregator=AggregatorConfig(
-                    inbound_endpoint=f"inproc://oagg-{suffix}",
-                    publish_endpoint=f"inproc://oevents-{suffix}",
-                    api_endpoint=f"inproc://oapi-{suffix}",
-                )
-            )
-            return fs, LustreMonitor(fs, config)
+            return fs, LustreMonitor(fs, MonitorConfig(namespace=suffix))
 
         fs_a, mon_a = make("pa")
         fs_b, mon_b = make("pb")

@@ -1,5 +1,7 @@
 """Integration tests for the full monitor pipeline (deterministic mode)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -103,7 +105,7 @@ class TestHistoricApi:
         monitor.drain()
         late = []
         consumer = monitor.subscribe(lambda seq, ev: late.append(seq), name="late")
-        assert consumer.catch_up(api_server=monitor.aggregator) == 10
+        assert consumer.catch_up(api_server=monitor.shard_handles["shard0"]) == 10
         assert late == list(range(1, 11))
 
     def test_catch_up_then_live_without_duplicates(self):
@@ -112,7 +114,7 @@ class TestHistoricApi:
         monitor.drain()
         seen = []
         consumer = monitor.subscribe(lambda seq, ev: seen.append(seq))
-        consumer.catch_up(api_server=monitor.aggregator)
+        consumer.catch_up(api_server=monitor.shard_handles["shard0"])
         fs.create("/proj/data/later")
         monitor.drain()
         assert seen == [1, 2]
@@ -128,7 +130,7 @@ class TestHistoricApi:
         from repro.core.consumer import Consumer
 
         seen = []
-        config = AggregatorConfig(hwm=5, batch_events=1)
+        config = replace(monitor.shard_configs["shard0"], hwm=5)
         consumer = Consumer(
             monitor.context, lambda seq, ev: seen.append(seq), config=config
         )
@@ -137,11 +139,11 @@ class TestHistoricApi:
             fs.create(f"/proj/data/f{index}")
         for collector in monitor.collectors:
             collector.poll_once()
-        monitor.aggregator.pump_once()
+        monitor.shard_handles["shard0"].pump_once()
         # Only 5 fit in the subscription queue; the rest were dropped.
         consumer.poll_once()
         assert consumer.dropped > 0
-        recovered = consumer.catch_up(api_server=monitor.aggregator)
+        recovered = consumer.catch_up(api_server=monitor.shard_handles["shard0"])
         assert recovered > 0
         assert seen == list(range(1, 21))
 
@@ -150,8 +152,8 @@ class TestHistoricApi:
         for index in range(25):
             fs.create(f"/proj/data/f{index}")
         monitor.drain()
-        assert len(monitor.aggregator.store) == 10
-        assert monitor.aggregator.store.oldest_retained_seq == 16
+        assert len(monitor.shard_handles["shard0"].store) == 10
+        assert monitor.shard_handles["shard0"].store.oldest_retained_seq == 16
 
 
 class TestLiveMode:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import LustreMonitor, MonitorClient
+from repro.core import LustreMonitor, MonitorClient, MonitorConfig
 from repro.core.events import EventType
 from repro.lustre import LustreFilesystem
 from repro.util.clock import ManualClock
@@ -83,7 +83,7 @@ class TestQueries:
         monitor = LustreMonitor(fs)
         monitor.start()
         try:
-            client = MonitorClient(monitor.context, monitor.config.aggregator)
+            client = MonitorClient(monitor.context, monitor.shard_configs["shard0"])
             fs.create("/d/f")
             import time
 
@@ -93,6 +93,13 @@ class TestQueries:
             assert client.last_seq() == 1
         finally:
             monitor.shutdown()
+
+    def test_sharded_monitor_refused(self):
+        """A sharded monitor's history spans its shards: for_monitor
+        refuses it instead of answering from shard0 alone."""
+        monitor = LustreMonitor(LustreFilesystem(), MonitorConfig(num_shards=2))
+        with pytest.raises(ValueError, match="ClusterClient"):
+            MonitorClient.for_monitor(monitor)
 
 
 class TestConsumerLatencyTracking:

@@ -92,7 +92,7 @@ class TestAggregatorRestart:
             fs.create(f"/d/f{index}")
         monitor.drain()
         catalog = str(tmp_path / "catalog.jsonl")
-        monitor.aggregator.store.save(catalog)
+        monitor.shard_handles["shard0"].store.save(catalog)
         monitor.shutdown()
 
         # A fresh aggregator (new context, as after a host restart)
@@ -159,7 +159,7 @@ class TestConsumerRestart:
             lambda seq, ev: second_life.append(seq), name="reborn"
         )
         replacement.last_seq = checkpoint  # restored from its own state
-        replacement.catch_up(api_server=monitor.aggregator)
+        replacement.catch_up(api_server=monitor.shard_handles["shard0"])
         assert second_life == [2, 3]
         # And the live stream continues without gaps or duplicates.
         fs.create("/d/d")

@@ -408,11 +408,11 @@ class TestMonitorStopOrdering:
         order = [
             service.name for service in monitor.supervisor.children()
         ]
-        # Start order: consumers first, aggregator, then collectors —
-        # stop is the reverse, so the consumer outlives the aggregator.
-        assert order.index("late") < order.index("aggregator")
+        # Start order: consumers first, the shard, then collectors —
+        # stop is the reverse, so the consumer outlives the shard.
+        assert order.index("late") < order.index("shard0")
         assert all(
-            order.index("aggregator") < order.index(c.name)
+            order.index("shard0") < order.index(c.name)
             for c in monitor.collectors
         )
 

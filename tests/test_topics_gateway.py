@@ -27,7 +27,7 @@ class TestTopicByPath:
         consumer = Consumer(
             monitor.context,
             lambda seq, ev: scoped.append(ev.path),
-            config=monitor.config.aggregator,
+            config=monitor.shard_configs["shard0"],
             topic="events./projects",
         )
         monitor.consumers.append(consumer)
@@ -53,7 +53,7 @@ class TestTopicByPath:
         consumer = Consumer(
             monitor.context,
             lambda seq, ev: root_scoped.append(ev.path),
-            config=monitor.config.aggregator,
+            config=monitor.shard_configs["shard0"],
             topic="events./top.dat",
         )
         monitor.consumers.append(consumer)
@@ -64,7 +64,7 @@ class TestTopicByPath:
     def test_default_config_single_topic(self):
         fs = LustreFilesystem(clock=ManualClock())
         monitor = LustreMonitor(fs)
-        assert monitor.aggregator._topic_for.__self__.config.topic_by_path is False
+        assert monitor.shard_handles["shard0"]._topic_for.__self__.config.topic_by_path is False
         seen = []
         monitor.subscribe(lambda seq, ev: seen.append(seq))
         fs.create("/f")
