@@ -13,26 +13,38 @@ result equality against the ``matching_linear`` oracle.
 Sizes come from the environment so the CI smoke step can shrink them:
 ``RULE_BENCH_RULES`` (default 1000), ``RULE_BENCH_EVENTS`` (default
 2000), and for the rule-scale scenario ``RULE_BENCH_SCALE_RULES``
-(default 100_000) / ``RULE_BENCH_SCALE_EVENTS`` (default 200).  At
+(default 100_000) / ``RULE_BENCH_SCALE_EVENTS`` (default 200), and for
+the install scenario ``RULE_BENCH_INSTALL_RULES`` (default 2000).  At
 scale the full linear sweep would dominate the benchmark run, so the
 oracle is equality-checked on a sample of events and the linear
 evaluation count is the exact analytic ``rules × events`` product (a
 linear sweep evaluates every rule for every event, by construction).
 The ablation table and ``BENCH_rule_matching.json`` land in
 ``benchmarks/results/``.
+
+The install scenario prices rule *distribution*: rules added one at a
+time through ``RippleService`` reach the registered agent as deltas,
+so N installs must build exactly N compiled triggers on the agent (a
+per-change index rebuild builds N²/2).  That count is the asserted
+bar; total and per-rule install milliseconds are recorded beside it.
 """
 
 import json
 import os
 import pathlib
+import time
 
 from repro.core.events import EventType, FileEvent
+from repro.ripple.agent import RippleAgent
+from repro.ripple.index import CompiledTrigger
 from repro.ripple.rules import Action, Rule, RuleSet, Trigger
+from repro.ripple.service import RippleService
 
 N_RULES = int(os.environ.get("RULE_BENCH_RULES", "1000"))
 N_EVENTS = int(os.environ.get("RULE_BENCH_EVENTS", "2000"))
 N_SCALE_RULES = int(os.environ.get("RULE_BENCH_SCALE_RULES", "100000"))
 N_SCALE_EVENTS = int(os.environ.get("RULE_BENCH_SCALE_EVENTS", "200"))
+N_INSTALL_RULES = int(os.environ.get("RULE_BENCH_INSTALL_RULES", "2000"))
 #: Events the scale scenario runs through the (slow) linear oracle.
 ORACLE_SAMPLE = 5
 
@@ -48,6 +60,15 @@ SCALE_DEPTH = 10
 #: many rules but reuse few predicates (same suffix filters, same
 #: literal marker files, broad catch-alls).
 SCALE_PATTERNS = ["*.dat", "*.h5", "DONE.marker", "*"]
+
+
+def record_bench(**sections):
+    """Merge *sections* into ``BENCH_rule_matching.json``."""
+    path = _RESULTS_DIR / "BENCH_rule_matching.json"
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.update(sections)
+    _RESULTS_DIR.mkdir(exist_ok=True)
+    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def make_event(path):
@@ -287,12 +308,52 @@ class TestIndexedVsLinearAblation:
             "Ablation - spine-fused rule automaton vs linear sweep",
             "\n".join(lines),
         )
-        _RESULTS_DIR.mkdir(exist_ok=True)
-        (_RESULTS_DIR / "BENCH_rule_matching.json").write_text(
-            json.dumps({"scenarios": scenarios}, indent=2) + "\n"
-        )
+        record_bench(scenarios=scenarios)
         # The acceptance bars: the disjoint (paper-shaped) workload and
         # the previously-degenerate nested spine both stay under 10%.
         assert scenarios[0]["evaluated_fraction"] <= 0.10
         assert scenarios[1]["evaluated_fraction"] <= NESTED_FRACTION_BAR
         assert scenarios[2]["evaluated_fraction"] <= NESTED_FRACTION_BAR
+
+
+class TestRuleInstallBench:
+    """N rules added one by one reach the agent as N deltas."""
+
+    def test_bench_rule_install(self, monkeypatch):
+        built = []
+        original_init = CompiledTrigger.__init__
+
+        def counting_init(self, rule, order):
+            original_init(self, rule, order)
+            built.append(rule.rule_id)
+
+        monkeypatch.setattr(CompiledTrigger, "__init__", counting_init)
+        service = RippleService()
+        agent = RippleAgent("a")
+        service.register_agent(agent)
+        started = time.perf_counter()
+        for i in range(N_INSTALL_RULES):
+            service.add_rule(
+                Trigger(agent_id="a", path_prefix=f"/tenants/t{i % 10}",
+                        name_pattern=f"*.e{i}"),
+                Action("email", "a"),
+            )
+        install_ms = (time.perf_counter() - started) * 1000.0
+        # Linear construction: one compiled trigger per installed rule,
+        # all on the agent (the service compiles its own index only on
+        # its first match).
+        assert len(built) == len(agent.rule_index) == N_INSTALL_RULES
+        events = [
+            make_event(f"/tenants/t{i % 10}/run/f.e{i}")
+            for i in range(0, N_INSTALL_RULES, max(1, N_INSTALL_RULES // 20))
+        ]
+        for event in events:
+            matched = agent.rule_index.matching(event)
+            assert matched == service.rules.matching_linear("a", event)
+            assert len(matched) == 1
+        record_bench(install={
+            "rules": N_INSTALL_RULES,
+            "agent_triggers_built": len(built),
+            "install_ms": round(install_ms, 3),
+            "install_ms_per_rule": round(install_ms / N_INSTALL_RULES, 5),
+        })

@@ -93,9 +93,10 @@ class RippleAgent(Service):
         #: letting a rule storm starve the host.
         self.rate_limiter = None
         self.rules: list[Rule] = []
-        #: Compiled matching engine over the active rules (rebuilt by
-        #: :meth:`set_rules`); every detected event is filtered through
-        #: its path trie instead of a linear sweep of ``self.rules``.
+        #: Compiled matching engine over the active rules, kept for the
+        #: agent's lifetime (:meth:`set_rules` applies rule deltas to
+        #: it); every detected event is filtered through its path trie
+        #: instead of a linear sweep of ``self.rules``.
         self.rule_index = RuleIndex()
         self.observer: Optional[Observer] = None
         self._handler = _AgentHandler(self)
@@ -276,12 +277,30 @@ class RippleAgent(Service):
     def set_rules(self, rules: list[Rule]) -> None:
         """Replace the active rule set (called by the service).
 
+        The change is applied to the live index as a delta keyed by
+        ``rule_id``: vanished rules are removed, new ones added in list
+        order (so insertion order matches ``RuleSet.for_agent``), and
+        rules whose ``enabled`` flag disagrees with index membership are
+        re-indexed.  A rule change therefore costs one trigger
+        compilation, not a rebuild of every rule, and the index's op
+        counters keep counting across rule churn.
+
         For locally observed filesystems this also schedules watchers on
         each distinct rule prefix — "the agent employs Watchers on each
         directory relevant to a rule".
         """
+        index = self.rule_index
+        previous = {rule.rule_id for rule in self.rules}
+        incoming = {rule.rule_id for rule in rules}
+        for rule in self.rules:
+            if rule.rule_id not in incoming:
+                index.remove(rule)
+        for rule in rules:
+            if rule.rule_id not in previous:
+                index.add(rule)  # disabled rules get their stamp pinned
+            elif rule.enabled != (rule.rule_id in index):
+                index.set_enabled(rule)
         self.rules = list(rules)
-        self.rule_index = RuleIndex(self.rules)
         if self.observer is not None:
             prefixes = sorted({
                 rule.trigger.path_prefix

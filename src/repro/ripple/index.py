@@ -93,13 +93,15 @@ _PRESSURE_FLOOR = 4096
 class CompiledTrigger:
     """One rule's trigger, pre-compiled for repeated matching.
 
-    Everything ``Trigger.matches`` recomputes per event is hoisted to
-    construction time: the prefix probe (``prefix + "/"``), the name
-    pattern as a compiled regex (``None`` for the match-everything
-    ``"*"``), and the cheap flag lookups as slots.  Inside the index,
-    compiled triggers are the *owner* records bucket programs fan out
-    to; :meth:`matches` remains the single-trigger reference evaluation
-    (the gateway property tests and ad-hoc callers use it directly).
+    The prefix probe (``prefix + "/"``) and the cheap flag lookups are
+    hoisted to construction time as slots.  Inside the index, compiled
+    triggers are the *owner* records bucket programs fan out to, and
+    the bucket programs resolve names through their own merged regexes
+    — so the per-trigger name regex is compiled lazily, on the first
+    :meth:`matches` call, and construction (one per rule install)
+    compiles nothing.  :meth:`matches` remains the single-trigger
+    reference evaluation (the gateway property tests and ad-hoc callers
+    use it directly).
     """
 
     __slots__ = (
@@ -119,13 +121,9 @@ class CompiledTrigger:
         self.include_directories = trigger.include_directories
         #: The raw fnmatch pattern — the bucket program's dedup key.
         self.pattern = trigger.name_pattern
-        #: ``None`` means the pattern is ``"*"``: every name matches, so
-        #: the hot path skips regex work entirely.
-        self._regex: Optional[re.Pattern] = (
-            None
-            if trigger.name_pattern == "*"
-            else re.compile(fnmatch.translate(trigger.name_pattern))
-        )
+        #: The name regex, compiled by the first :meth:`matches` call;
+        #: never compiled for ``"*"``, which matches every name.
+        self._regex: Optional[re.Pattern] = None
 
     def matches(self, event: FileEvent, name: str) -> bool:
         """Full trigger evaluation for one surfaced candidate.
@@ -142,7 +140,12 @@ class CompiledTrigger:
             return False
         if not event.matches_prefix(self.prefix, self.probe):
             return False
-        return self._regex is None or self._regex.match(name) is not None
+        if self.pattern == "*":
+            return True
+        regex = self._regex
+        if regex is None:
+            regex = self._regex = re.compile(fnmatch.translate(self.pattern))
+        return regex.match(name) is not None
 
 
 class _Predicate:

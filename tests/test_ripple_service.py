@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import EventType
+from repro.core.events import EventType, FileEvent
 from repro.errors import RippleError
 from repro.ripple import (
     Action,
@@ -64,6 +64,70 @@ class TestRegistration:
         )
         service.remove_rule(rule.rule_id)
         assert agent.rules == []
+
+
+class TestRuleDeltas:
+    """Rule changes reach the agent as deltas on one long-lived index."""
+
+    COUNTERS = (
+        "ripple_candidates_considered",
+        "ripple_rules_evaluated",
+        "ripple_program_recompiles",
+    )
+
+    def test_index_and_counters_survive_rule_churn(self, service):
+        agent = RippleAgent("dev")
+        service.register_agent(agent)
+        index = agent.rule_index
+        seen = []
+
+        def match(path):
+            agent.ingest_event(FileEvent(
+                event_type=EventType.CREATED, path=path, is_dir=False,
+                timestamp=1.0, name=path.rsplit("/", 1)[-1], source="test",
+            ))
+
+        def check():
+            assert agent.rule_index is index
+            snapshot = agent.metrics.snapshot()
+            current = [snapshot[name] for name in self.COUNTERS]
+            if seen:
+                assert all(
+                    now >= before for now, before in zip(current, seen[-1])
+                ), (seen[-1], current)
+            seen.append(current)
+
+        csv = service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/in", name_pattern="*.csv"),
+            Action("email", "dev", {"to": "a@b"}),
+        )
+        check()
+        every = service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/in"),
+            Action("email", "dev", {"to": "a@b"}),
+        )
+        check()
+        match("/in/a.csv")
+        check()
+        assert agent.events_matched == 1
+        service.remove_rule(csv.rule_id)
+        check()
+        match("/in/b.csv")
+        check()
+        service.set_rule_enabled(every.rule_id, False)
+        check()
+        match("/in/c.csv")
+        check()
+        assert agent.events_matched == 2
+        service.set_rule_enabled(every.rule_id, True)
+        check()
+        match("/in/d.csv")
+        check()
+        assert agent.events_matched == 3
+        # The counters really moved: three matching rounds surfaced
+        # candidates and each rule change dirtied a bucket program.
+        candidates, evaluated, recompiles = seen[-1]
+        assert candidates >= 3 and evaluated >= 3 and recompiles >= 3
 
 
 class TestEventFlow:

@@ -12,6 +12,8 @@ Also covers the batch delivery path the index feeds: the Consumer's
 agent's ``ingest_batch``.
 """
 
+import fnmatch
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -252,6 +254,20 @@ def _build_event(spec):
     return make_event(path, event_type, is_dir=is_dir, old_path=old_path)
 
 
+def _hit_events(prefix, pattern, types, include_dirs):
+    """Events the rule spec fires on: one per event type, with MOVED
+    arriving from under the prefix (``old_path``) to elsewhere."""
+    name = next(n for n in _NAMES if fnmatch.fnmatch(n, pattern))
+    path = prefix.rstrip("/") + "/" + name
+    return [
+        make_event(f"/x/{name}", event_type, is_dir=include_dirs,
+                   old_path=path)
+        if event_type is EventType.MOVED
+        else make_event(path, event_type, is_dir=include_dirs)
+        for event_type in types
+    ]
+
+
 class TestLinearEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -304,6 +320,81 @@ class TestLinearEquivalence:
         for spec in event_specs:
             event = _build_event(spec)
             assert incremental.matching(event) == rebuilt.matching(event)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        initial=st.lists(_RULE_SPEC, max_size=6),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), _RULE_SPEC),
+                st.tuples(
+                    st.sampled_from(["remove", "disable", "enable"]),
+                    st.integers(0, 9),
+                ),
+            ),
+            min_size=1, max_size=10,
+        ),
+        event_specs=st.lists(_EVENT_SPEC, max_size=6),
+    )
+    def test_agent_delta_path_equals_linear_sweep(
+        self, initial, ops, event_specs
+    ):
+        # The agent's long-lived index, maintained by rule deltas from
+        # the service, must agree with the service's linear oracle after
+        # registration (whose slice may hold disabled rules) and after
+        # every later add / remove / enable flip.
+        from repro.ripple.agent import RippleAgent
+        from repro.ripple.service import RippleService
+
+        service = RippleService()
+        agent = RippleAgent("a")
+        events = [_build_event(spec) for spec in event_specs]
+
+        def add(spec):
+            prefix, pattern, types, include_dirs, enabled = spec
+            rule = service.add_rule(
+                Trigger(
+                    agent_id="a", path_prefix=prefix, name_pattern=pattern,
+                    event_types=frozenset(types),
+                    include_directories=include_dirs,
+                ),
+                Action("email", "a"),
+            )
+            if not enabled:
+                service.set_rule_enabled(rule.rule_id, False)
+            events.extend(_hit_events(prefix, pattern, types, include_dirs))
+
+        def check():
+            assert agent.rules == service.rules.for_agent("a")
+            for event in events:
+                assert agent.rule_index.matching(event) == (
+                    service.rules.matching_linear("a", event)
+                )
+
+        for spec in initial:
+            add(spec)
+        service.register_agent(agent)
+        check()
+        for op, arg in ops:
+            if op == "add":
+                add(arg)
+            elif op == "remove":
+                live = service.rules.for_agent("a")
+                if live:
+                    service.remove_rule(live[arg % len(live)].rule_id)
+            else:
+                # Flip a rule that is in the other state, so the op is
+                # never a no-op while one exists.
+                enable = op == "enable"
+                flippable = [
+                    rule for rule in service.rules.for_agent("a")
+                    if rule.enabled != enable
+                ]
+                if flippable:
+                    service.set_rule_enabled(
+                        flippable[arg % len(flippable)].rule_id, enable
+                    )
+            check()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -618,3 +709,49 @@ class TestAgentBatchIngest:
         snapshot = agent.metrics.snapshot()
         assert snapshot["candidates_considered"] == 1
         assert snapshot["rules_evaluated"] == 1
+
+
+class TestAgentRuleInstallCost:
+    """Installing N rules costs N trigger compilations, not N²/2."""
+
+    N = 60
+
+    def test_install_builds_one_trigger_per_rule_and_no_regex(
+        self, monkeypatch
+    ):
+        from repro.ripple.agent import RippleAgent
+        from repro.ripple.index import CompiledTrigger
+        from repro.ripple.service import RippleService
+
+        built = []
+        original_init = CompiledTrigger.__init__
+
+        def counting_init(self, rule, order):
+            original_init(self, rule, order)
+            built.append(self)
+
+        monkeypatch.setattr(CompiledTrigger, "__init__", counting_init)
+        service = RippleService()
+        agent = RippleAgent("a")
+        service.register_agent(agent)
+        for i in range(self.N):
+            service.add_rule(
+                Trigger(agent_id="a", path_prefix=f"/t{i % 5}",
+                        name_pattern=f"*.e{i}"),
+                Action("email", "a"),
+            )
+        # The service builds its own index only on its first match, so
+        # every trigger built so far belongs to the agent's index.
+        assert len(built) == len(agent.rule_index) == self.N
+        assert {t.rule.rule_id for t in built} == {
+            rule.rule_id for rule in agent.rules
+        }
+        # Bucket programs resolve names through merged regexes; the
+        # per-trigger regex waits for a direct matches() call.
+        assert all(t._regex is None for t in built)
+        event = make_event("/t3/x.e3")
+        assert agent.rule_index.matching(event) == [agent.rules[3]]
+        assert all(t._regex is None for t in built)
+        assert built[3].matches(event, "x.e3")
+        assert built[3]._regex is not None
+        assert sum(t._regex is not None for t in built) == 1
