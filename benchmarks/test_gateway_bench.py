@@ -133,12 +133,23 @@ def bench_pushdown(fs, cluster, gateway, api, token, events):
     returned_before = gateway.metrics.value("events_returned")
     hits_before = gateway.metrics.value("filter_cache_hits")
     misses_before = gateway.metrics.value("filter_cache_misses")
+    # A multi-page cursor sweep is the shape where the filter cache
+    # pays (identical params re-sent every page), so the page size is
+    # derived from the match count: at most 32, and never more than
+    # half the matches, so every bench size sweeps at least 2 pages.
+    page_size = max(1, min(32, expected // 2))
     started = time.perf_counter()
-    # Page size 32 forces a multi-page cursor sweep — the shape where
-    # the filter cache pays (identical params re-sent every page).
-    matching = api.events_all(
-        token, prefix="/bench/signal", types="created", limit=32
-    )
+    matching, cursor, pages = [], None, 0
+    while True:
+        page = api.events(
+            token, prefix="/bench/signal", types="created",
+            limit=page_size, cursor=cursor,
+        )
+        pages += 1
+        matching.extend(page["events"])
+        cursor = page["cursor"]
+        if page["exhausted"]:
+            break
     elapsed = time.perf_counter() - started
     scanned = gateway.metrics.value("events_scanned") - scanned_before
     returned = gateway.metrics.value("events_returned") - returned_before
@@ -147,6 +158,7 @@ def bench_pushdown(fs, cluster, gateway, api, token, events):
         gateway.metrics.value("filter_cache_misses") - misses_before
     )
     assert returned == len(matching) == expected, (returned, expected)
+    assert pages >= 2, (pages, page_size, expected)
     assert scanned >= events  # the sweep walked the whole retained window
     # Every page of the sweep reuses ONE compiled filter index: at most
     # one miss for this query shape, everything else a cache hit.
@@ -155,6 +167,8 @@ def bench_pushdown(fs, cluster, gateway, api, token, events):
     pruned_fraction = 1.0 - returned / scanned
     return {
         "scenario": "pushdown",
+        "page_size": page_size,
+        "pages": pages,
         "events_scanned": scanned,
         "events_returned": returned,
         "pruned_fraction": round(pruned_fraction, 4),

@@ -10,7 +10,7 @@ bookkeeping downstream.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Optional
@@ -69,13 +69,16 @@ RECORD_TYPE_MAP: dict[RecordType, EventType] = {
 _DIR_RECORD_TYPES = frozenset({RecordType.MKDIR, RecordType.RMDIR})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileEvent:
     """One normalized file event.
 
     ``path`` may be None when FID resolution failed (e.g. the file was
     deleted before its creation record was processed) — consumers decide
     whether such events are still actionable via ``name``/``parent_fid``.
+
+    Slotted: a store retains one instance per event, and a per-instance
+    ``__dict__`` would be the largest part of its footprint.
     """
 
     event_type: EventType
@@ -148,10 +151,27 @@ class FileEvent:
     # -- serialisation ------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-safe dict (enums become their string values)."""
-        data = asdict(self)
-        data["event_type"] = self.event_type.value
-        return data
+        """A JSON-safe dict (enums become their string values).
+
+        Keys are in field order, as ``dataclasses.asdict`` would give
+        them, so rendered JSON is unchanged; every value is a primitive,
+        so the recursive deep copy ``asdict`` makes is not needed.
+        """
+        return {
+            "event_type": self.event_type.value,
+            "path": self.path,
+            "is_dir": self.is_dir,
+            "timestamp": self.timestamp,
+            "name": self.name,
+            "source": self.source,
+            "fid": self.fid,
+            "parent_fid": self.parent_fid,
+            "mdt_index": self.mdt_index,
+            "record_index": self.record_index,
+            "record_type": self.record_type,
+            "old_path": self.old_path,
+            "jobid": self.jobid,
+        }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FileEvent":

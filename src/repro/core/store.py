@@ -33,6 +33,13 @@ from repro.core.events import EventType, FileEvent, prefix_probe
 from repro.core.storage.base import StoreBackend
 from repro.core.storage.memory import MemoryBackend
 
+#: Bytes one retained event costs: the slotted FileEvent, its strings,
+#: and the ``(seq, event)`` entry shared by the window and its type
+#: bucket.  Measured with ``tracemalloc`` by decoding marshal-framed
+#: Lustre events (~50-character paths, FID strings) into a store;
+#: ``tests/test_store_memory.py`` holds the estimate to the measurement.
+BYTES_PER_EVENT = 600
+
 
 class _SeqView:
     """An indexable view of the stored sequence numbers (bisect support).
@@ -555,9 +562,7 @@ class EventStore:
         """Rough memory footprint of the retained window.
 
         Used by the overhead experiment (Table 3) to reason about the
-        Aggregator's memory being dominated by the local store.
+        Aggregator's memory being dominated by the local store.  A flat
+        per-event figure (:data:`BYTES_PER_EVENT`) keeps this O(1).
         """
-        # An event is a small frozen dataclass of ~12 short fields; a
-        # conservative flat estimate keeps this O(1).
-        per_event = 700
-        return len(self) * per_event
+        return len(self) * BYTES_PER_EVENT

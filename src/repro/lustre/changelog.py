@@ -55,16 +55,24 @@ class RecordType(IntEnum):
 
     @property
     def mnemonic(self) -> str:
-        """The ``01CREAT``-style token used in changelog output."""
-        return f"{self.value:02d}{self.name}"
+        """The ``01CREAT``-style token used in changelog output.
+
+        One shared string per member, so the events of a batch all
+        reference the same object (and marshal writes it once).
+        """
+        return _MNEMONICS[self]
 
     @classmethod
     def from_mnemonic(cls, token: str) -> "RecordType":
         """Parse a ``01CREAT``-style token back to a record type."""
-        for member in cls:
-            if member.mnemonic == token:
-                return member
-        raise ChangelogError(f"unknown changelog record type: {token!r}")
+        member = _BY_MNEMONIC.get(token)
+        if member is None:
+            raise ChangelogError(f"unknown changelog record type: {token!r}")
+        return member
+
+
+_MNEMONICS = {member: f"{member.value:02d}{member.name}" for member in RecordType}
+_BY_MNEMONIC = {token: member for member, token in _MNEMONICS.items()}
 
 
 class ChangelogFlag(IntFlag):
@@ -75,7 +83,7 @@ class ChangelogFlag(IntFlag):
     RENAME_OVERWRITE = 0x2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangelogRecord:
     """One immutable changelog record (the paper's Table 1 tuple)."""
 

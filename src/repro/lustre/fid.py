@@ -30,7 +30,7 @@ _FID_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Fid:
     """An immutable Lustre FID: (sequence, oid, version)."""
 

@@ -34,7 +34,7 @@ from repro.util.clock import Clock, WallClock
 from repro.util.paths import is_ancestor, normalize, split_components
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     """One namespace object (file, directory or symlink)."""
 

@@ -20,7 +20,7 @@ from repro.errors import LustreError
 DEFAULT_STRIPE_SIZE = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StripeLayout:
     """A file's layout: ordered (ost_index, object_id) stripe objects."""
 

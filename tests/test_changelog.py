@@ -28,6 +28,11 @@ class TestRecordFormat:
         assert RecordType.UNLNK.mnemonic == "06UNLNK"
         assert RecordType.SATTR.mnemonic == "14SATTR"
 
+    def test_mnemonic_is_one_shared_string(self):
+        # Every event of a batch then references one object, which
+        # marshal writes once per batch.
+        assert RecordType.CREAT.mnemonic is RecordType.CREAT.mnemonic
+
     def test_from_mnemonic_roundtrip(self):
         for rec_type in RecordType:
             assert RecordType.from_mnemonic(rec_type.mnemonic) is rec_type

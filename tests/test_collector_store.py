@@ -5,7 +5,7 @@ import pytest
 from repro.core.collector import CallbackSink, Collector, CollectorConfig
 from repro.core.events import EventType, FileEvent
 from repro.core.processor import ProcessorConfig
-from repro.core.store import EventStore
+from repro.core.store import BYTES_PER_EVENT, EventStore
 from repro.lustre import LustreFilesystem
 from repro.util.clock import ManualClock
 
@@ -240,7 +240,7 @@ class TestEventStore:
         store = EventStore(max_events=100)
         for index in range(200):
             store.append(make_event(f"/f{index}"))
-        assert store.approximate_memory_bytes() == 100 * 700
+        assert store.approximate_memory_bytes() == 100 * BYTES_PER_EVENT
 
     def test_invalid_max_events_rejected(self):
         with pytest.raises(ValueError):
