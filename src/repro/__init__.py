@@ -13,44 +13,44 @@ The most common entry points are re-exported here:
 aggregator shard it is the paper's Figure 2, and
 ``MonitorConfig(num_shards=N)`` spreads aggregation over N shards (the
 §6 scaling fix); ``repro.cluster`` adds the scatter-gather client.
+
+The re-exports resolve on first use, so ``import repro`` (and any
+import of a submodule, which runs this file first) loads no subpackage.
 """
 
-from repro.core import (
-    Aggregator,
-    Collector,
-    Consumer,
-    EventProcessor,
-    EventStore,
-    EventType,
-    FileEvent,
-    LustreMonitor,
-    MonitorConfig,
-)
-from repro.fs import MemoryFilesystem, Observer
-from repro.metrics import MetricsRegistry
-from repro.lustre import (
-    ChangeLog,
-    ChangelogRecord,
-    Fid,
-    FidResolver,
-    LustreFilesystem,
-    RecordType,
-)
-from repro.ripple import (
-    Action,
-    RippleAgent,
-    RippleService,
-    Rule,
-    Trigger,
-)
-from repro.runtime import (
-    RestartPolicy,
-    Service,
-    ServiceCrash,
-    Supervisor,
-)
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Aggregator": ".core",
+    "Collector": ".core",
+    "Consumer": ".core",
+    "EventProcessor": ".core",
+    "EventStore": ".core",
+    "EventType": ".core",
+    "FileEvent": ".core",
+    "LustreMonitor": ".core",
+    "MonitorConfig": ".core",
+    "MemoryFilesystem": ".fs",
+    "Observer": ".fs",
+    "MetricsRegistry": ".metrics",
+    "ChangeLog": ".lustre",
+    "ChangelogRecord": ".lustre",
+    "Fid": ".lustre",
+    "FidResolver": ".lustre",
+    "LustreFilesystem": ".lustre",
+    "RecordType": ".lustre",
+    "Action": ".ripple",
+    "RippleAgent": ".ripple",
+    "RippleService": ".ripple",
+    "Rule": ".ripple",
+    "Trigger": ".ripple",
+    "RestartPolicy": ".runtime",
+    "Service": ".runtime",
+    "ServiceCrash": ".runtime",
+    "Supervisor": ".runtime",
+})
 
 __all__ = [
     "__version__",

@@ -21,25 +21,40 @@ tolerance.  Pipeline (paper §4, Figure 2):
 (the default) it is Figure 2; ``MonitorConfig(num_shards=N)`` spreads
 aggregation over N shards, the fix for the single-aggregator wall the
 paper names in §6.
+
+Every name below is re-exported lazily: a shard child that imports
+``repro.core.aggregator`` loads the aggregator and the store, not the
+monitor, its telemetry plane or the polling baseline.
 """
 
-from repro.core.events import (
-    EventBatch,
-    EventType,
-    FileEvent,
-    ReportBatch,
-    iter_entries,
-    iter_report,
-)
-from repro.core.processor import EventProcessor, PathCache, ProcessorConfig
-from repro.core.collector import Collector, CollectorConfig
-from repro.core.store import EventStore
-from repro.core.aggregator import Aggregator, AggregatorConfig
-from repro.core.consumer import Consumer, DedupingConsumer
-from repro.core.client import MonitorClient
-from repro.core.fsmonitor import StorageMonitor
-from repro.core.monitor import LustreMonitor, MonitorConfig
-from repro.core.relay import RelayAggregator, facility_relay
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "EventBatch": ".events",
+    "EventType": ".events",
+    "FileEvent": ".events",
+    "ReportBatch": ".events",
+    "iter_entries": ".events",
+    "iter_report": ".events",
+    "EventProcessor": ".processor",
+    "PathCache": ".processor",
+    "ProcessorConfig": ".processor",
+    "Collector": ".collector",
+    "CollectorConfig": ".collector",
+    "EventStore": ".store",
+    "Aggregator": ".aggregator",
+    "AggregatorConfig": ".aggregator",
+    "Consumer": ".consumer",
+    "DedupingConsumer": ".consumer",
+    "MonitorClient": ".client",
+    "StorageMonitor": ".fsmonitor",
+    "AdaptiveFlushController": ".adaptive",
+    "FlushTuning": ".adaptive",
+    "LustreMonitor": ".monitor",
+    "MonitorConfig": ".monitor",
+    "RelayAggregator": ".relay",
+    "facility_relay": ".relay",
+})
 
 __all__ = [
     "FileEvent",
@@ -62,6 +77,8 @@ __all__ = [
     "StorageMonitor",
     "RelayAggregator",
     "facility_relay",
+    "AdaptiveFlushController",
+    "FlushTuning",
     "LustreMonitor",
     "MonitorConfig",
 ]

@@ -38,6 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
+from repro.core.adaptive import AdaptiveFlushController, FlushTuning
 from repro.core.aggregator import Aggregator, AggregatorConfig
 from repro.core.collector import Collector, CollectorConfig
 from repro.core.consumer import Consumer, EventCallback
@@ -46,7 +47,6 @@ from repro.core.router import ShardMap, ShardRouter
 from repro.core.storage import shard_store_url
 from repro.lustre.fid2path import FidResolver
 from repro.lustre.filesystem import LustreFilesystem
-from repro.metrics.adaptive import AdaptiveFlushController, FlushTuning
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import TRACE_SCOPE, Tracer, make_tracer
 from repro.msgq import Transport, make_transport
@@ -88,7 +88,7 @@ class MonitorConfig:
     #: store+publish work in its own child process behind a
     #: :class:`~repro.msgq.multiproc.ProcessShardBridge`.
     transport: str = "inproc"
-    #: When True, an :class:`~repro.metrics.AdaptiveFlushController`
+    #: When True, an :class:`~repro.core.adaptive.AdaptiveFlushController`
     #: retunes each shard's flush batching from inbound occupancy and
     #: the ``pipeline.publish`` stage histogram.
     autotune: bool = False

@@ -18,20 +18,31 @@ depends on:
 * :class:`FidResolver` — the ``fid2path`` tool used by the monitor's
   processing step, with invocation accounting so experiments can model
   its cost (the paper's measured bottleneck).
+
+The names are re-exported lazily: the monitor's shard children need
+``changelog`` and ``fid`` (for event types), not the filesystem model.
 """
 
-from repro.lustre.fid import Fid, FidSequenceAllocator
-from repro.lustre.changelog import (
-    ChangeLog,
-    ChangelogFlag,
-    ChangelogRecord,
-    RecordType,
-)
-from repro.lustre.mds import DnePolicy, MetadataServer, MetadataTarget
-from repro.lustre.oss import ObjectStorageServer, ObjectStorageTarget, StripeLayout
-from repro.lustre.filesystem import LustreFilesystem
-from repro.lustre.fid2path import FidResolver
-from repro.lustre.lctl import LctlAdmin, LfsClient
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Fid": ".fid",
+    "FidSequenceAllocator": ".fid",
+    "ChangeLog": ".changelog",
+    "ChangelogFlag": ".changelog",
+    "ChangelogRecord": ".changelog",
+    "RecordType": ".changelog",
+    "DnePolicy": ".mds",
+    "MetadataServer": ".mds",
+    "MetadataTarget": ".mds",
+    "ObjectStorageServer": ".oss",
+    "ObjectStorageTarget": ".oss",
+    "StripeLayout": ".oss",
+    "LustreFilesystem": ".filesystem",
+    "FidResolver": ".fid2path",
+    "LctlAdmin": ".lctl",
+    "LfsClient": ".lctl",
+})
 
 __all__ = [
     "LctlAdmin",

@@ -7,7 +7,6 @@ from repro.metrics.registry import (
     MetricsRegistry,
     ScopedRegistry,
 )
-from repro.metrics.adaptive import AdaptiveFlushController, FlushTuning
 from repro.metrics.throughput import RateMeter, StageTimer
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.resources import ResourceSample, ResourceUsageModel
@@ -20,8 +19,6 @@ from repro.metrics.tracing import (
 )
 
 __all__ = [
-    "AdaptiveFlushController",
-    "FlushTuning",
     "Counter",
     "Gauge",
     "Histogram",

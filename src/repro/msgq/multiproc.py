@@ -41,17 +41,19 @@ full child inbox move on as soon as the child acks.
 Children are started with the ``spawn`` method by default: forking a
 multi-threaded parent (supervisor sweeps, worker loops, queue feeder
 threads) risks cloning held locks; a fresh interpreter does not.
+``spawn`` installs the parent's ``sys.path`` in the child before it
+unpickles :func:`_shard_main`, so the child finds ``repro`` however
+the parent did.  Its boot is the respawn latency, so it imports only
+what it runs: the package ``__init__``s on its path export lazily.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import queue
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
 from multiprocessing.connection import wait
@@ -168,12 +170,13 @@ def _shard_main(spec: ShardChildSpec, inbox_q, events_q) -> None:
     parent = multiprocessing.parent_process()
 
     def _ship_metrics() -> None:
-        # Best-effort: a full output queue means the parent is behind on
-        # real work; dropping a snapshot only delays one relay tick.
+        # Best-effort only against a full output queue: the parent is
+        # behind on real work, and dropping a snapshot delays one relay
+        # tick.  Any other fault escapes and kills the child loudly.
         state = aggregator.metrics.registry.export_state()
         try:
             events_q.put_nowait(("metrics", encode_state(state)))
-        except Exception:
+        except queue.Full:
             pass
 
     last_relay = time.monotonic()
@@ -239,33 +242,6 @@ def _shard_main(spec: ShardChildSpec, inbox_q, events_q) -> None:
     if spec.relay_interval > 0:
         _ship_metrics()
     aggregator.store.close()
-
-
-@contextmanager
-def _spawn_import_path():
-    """Make sure spawned children can import this package.
-
-    ``spawn`` re-imports the target module in a fresh interpreter; when
-    the parent found the package through ``sys.path`` manipulation
-    rather than ``PYTHONPATH``, the child would not.  Temporarily pin
-    the package root into the environment around ``Process.start()``.
-    """
-    root = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-    existing = os.environ.get("PYTHONPATH")
-    parts = existing.split(os.pathsep) if existing else []
-    if root in parts:
-        yield
-        return
-    os.environ["PYTHONPATH"] = os.pathsep.join([root, *parts])
-    try:
-        yield
-    finally:
-        if existing is None:
-            os.environ.pop("PYTHONPATH", None)
-        else:
-            os.environ["PYTHONPATH"] = existing
 
 
 class ProcessShardBridge(Service):
@@ -414,8 +390,7 @@ class ProcessShardBridge(Service):
             name=f"shard-{self.name}",
             daemon=True,
         )
-        with _spawn_import_path():
-            self._proc.start()
+        self._proc.start()
         self._spawn_acked = self._last_acked_seq
         # Replay: unacked batches in original order get their original
         # sequence numbers (the child was seeded past the acked ones).

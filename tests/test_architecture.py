@@ -30,7 +30,6 @@ LAYERS = (
 RANK = {package: rank for rank, layer in enumerate(LAYERS) for package in layer}
 
 KNOWN_UPWARD = {
-    ("metrics", "runtime"): "item 6: AdaptiveFlushController leaves metrics",
     ("msgq", "core"): "item 6: leaf repro.events, injected aggregator factory",
     ("msgq", "telemetry"): "item 6: the bridge takes its relay hook by injection",
     ("core", "telemetry"): "item 6: telemetry attaches from the composition root",

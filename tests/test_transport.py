@@ -30,13 +30,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterConfig, ClusterMonitor
-from repro.core import Aggregator, AggregatorConfig
+from repro.core import (
+    AdaptiveFlushController,
+    Aggregator,
+    AggregatorConfig,
+    FlushTuning,
+)
 from repro.core.client import MonitorClient
 from repro.core.events import EventType, FileEvent, iter_entries
 from repro.errors import MessagingError, SocketClosed, WouldBlock
 from repro.lustre import LustreFilesystem
 from repro.lustre.mds import DnePolicy
-from repro.metrics import AdaptiveFlushController, FlushTuning, MetricsRegistry
+from repro.metrics import MetricsRegistry
 from repro.msgq import Context, InprocTransport, Transport, make_transport
 from repro.msgq.framing import (
     decode_entries,
