@@ -15,12 +15,11 @@ can be composed under a :class:`~repro.runtime.Supervisor` (see
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Optional
 
 from repro.errors import ReceiptInvalid
 from repro.cloudq.sqs import ReliableQueue
-from repro.runtime import Service, WorkerSpec
+from repro.runtime import Service, Wake, WorkerSpec
 from repro.util.logging import get_logger
 
 
@@ -51,9 +50,9 @@ class ServerlessExecutor(Service):
         self.concurrency = concurrency
         self.batch_size = batch_size
         self.on_error = on_error
-        # One wake for every worker: a send sets it, and the worker
-        # that clears it first takes the message.
-        self._wake = threading.Event()
+        # One wake for every worker: a send rings it, which queues the
+        # workers in turn (one at a time; the first to step takes it).
+        self._wake = Wake()
         queue.wakers.add(self._wake)
         self._invocations = self.metrics.counter("invocations")
         self._successes = self.metrics.counter("successes")

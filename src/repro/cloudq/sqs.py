@@ -40,10 +40,12 @@ class ReliableQueue:
     times without deletion move to the *dead_letter* queue instead of
     reappearing (the standard SQS redrive policy).
 
-    Registered :attr:`wakers` are set whenever a message becomes
+    Registered :attr:`wakers` are rung whenever a message becomes
     receivable through a send or a re-drive, so consumers block instead
-    of polling.  (A visibility timeout expiring rings nothing; consumers
-    re-check on their own timeout.)
+    of polling.  A visibility timeout expiring is rung by a timer: one
+    delayed ring (:meth:`~repro.util.wakers.Wakers.ring_after`) is
+    pending at a time, due at the earliest in-flight expiry, and the
+    receive that follows it arms the next.
     """
 
     def __init__(
@@ -70,8 +72,10 @@ class ReliableQueue:
         self.total_deleted = 0
         self.total_dead_lettered = 0
         self.total_receives = 0
-        #: Readiness events set whenever a message becomes receivable.
+        #: Wakes rung whenever a message becomes receivable.
         self.wakers = Wakers()
+        #: Clock time the pending visibility ring is due (None: none).
+        self._ring_due: Optional[float] = None
 
     # -- producer ------------------------------------------------------------
 
@@ -137,7 +141,34 @@ class ReliableQueue:
                 # Hand back a snapshot: later redeliveries must not
                 # mutate the receipt the current holder is using.
                 received.append(replace(message))
+            delay = self._arm_ring(now, now + timeout if received else None)
+        if delay is not None:
+            self.wakers.ring_after(delay)
         return received
+
+    def _arm_ring(self, now: float, deadline: Optional[float]) -> Optional[float]:
+        """The delay of a visibility ring to arm, or None (lock held).
+
+        A pending ring covers every in-flight deadline at or after its
+        own; only an earlier *deadline* needs a new one.  With none
+        pending — or the pending one past, i.e. this is the receive it
+        woke — the next is armed for the earliest in-flight expiry.
+        """
+        due = self._ring_due
+        if due is not None and now < due:
+            if deadline is None or deadline >= due:
+                return None
+            self._ring_due = deadline
+            return deadline - now
+        self._ring_due = min(
+            (
+                message.visible_at
+                for message in self._messages.values()
+                if message.receipt is not None and message.visible_at > now
+            ),
+            default=None,
+        )
+        return None if self._ring_due is None else self._ring_due - now
 
     def delete(self, receipt: str) -> None:
         """Acknowledge (permanently remove) the delivery for *receipt*.
@@ -163,7 +194,13 @@ class ReliableQueue:
             if message_id is None:
                 raise ReceiptInvalid(f"unknown receipt {receipt[:8]}...")
             message = self._messages[message_id]
-            message.visible_at = self.clock.now() + timeout
+            now = self.clock.now()
+            message.visible_at = now + timeout
+            delay = self._arm_ring(now, message.visible_at)
+        if timeout <= 0:
+            self.wakers.ring()
+        elif delay is not None:
+            self.wakers.ring_after(delay)
 
     def redrive_stuck(self, older_than: float) -> int:
         """Make in-flight messages invisible for > *older_than* visible now.

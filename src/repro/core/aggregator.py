@@ -34,7 +34,6 @@ instance attributes.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -51,7 +50,7 @@ from repro.errors import WouldBlock
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import Tracer, make_tracer
 from repro.msgq import Transport
-from repro.runtime import Service, WorkerSpec
+from repro.runtime import Service, Wake, WorkerSpec
 from repro.util.logging import get_logger
 
 
@@ -157,8 +156,8 @@ class Aggregator(Service):
         self.flush_batch_events = self.config.batch_events
         # Each worker wakes on its own socket: a report batch landing
         # on the PULL mailbox rings the pump, a request the API.
-        self._pump_wake = threading.Event()
-        self._api_wake = threading.Event()
+        self._pump_wake = Wake()
+        self._api_wake = Wake()
         self.inbound.wakers.add(self._pump_wake)
         self.api.wakers.add(self._api_wake)
         # Pipeline counters (shared registry; property shims below).

@@ -28,7 +28,6 @@ after a crash.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
@@ -39,8 +38,12 @@ from repro.lustre.filesystem import LustreFilesystem
 from repro.lustre.mds import MetadataServer
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import NULL_TRACER, Tracer
-from repro.runtime import Service, ServiceCrash, WorkerSpec
+from repro.runtime import Service, ServiceCrash, Wake, WorkerSpec
 from repro.util.logging import get_logger
+
+#: Seconds after a failed report before the live worker re-reads the
+#: unpurged records (no ChangeLog append may come to ring it).
+REPORT_RETRY_DELAY = 0.05
 
 
 class EventSink(Protocol):
@@ -128,7 +131,7 @@ class Collector(Service):
         self._users: dict[int, str] = {
             mdt.index: mdt.changelog.register_user() for mdt in mds.mdts
         }
-        self._wake = threading.Event()
+        self._wake = Wake()
         for mdt in mds.mdts:
             mdt.changelog.wakers.add(self._wake)
         #: Records cleared so far — the poll worker's progress measure.
@@ -320,9 +323,13 @@ class Collector(Service):
     def _poll_step(self) -> int:
         """Worker step: progress is records cleared, not events
         reported — an all-filtered poll moved on (re-poll at once), a
-        failed report did not (wait for the next ring or re-check)."""
+        failed report did not: the records stay unpurged and the step
+        is rung again after :data:`REPORT_RETRY_DELAY`."""
         before = self._records_consumed
+        failures = self._report_failures.value
         self.poll_once()
+        if self._report_failures.value != failures:
+            self._wake.ring_after(REPORT_RETRY_DELAY)
         return self._records_consumed - before
 
     def worker_specs(self) -> list[WorkerSpec]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import inspect
 import logging
-import threading
 from typing import Callable, Optional
 
 from repro.core.aggregator import AggregatorConfig
@@ -26,7 +25,7 @@ from repro.errors import WouldBlock
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import Tracer, make_tracer
 from repro.msgq import Context
-from repro.runtime import Service, WorkerSpec, call_with_pump
+from repro.runtime import Service, Wake, WorkerSpec, call_with_pump
 from repro.util.logging import get_logger
 
 EventCallback = Callable[[int, FileEvent], None]
@@ -118,7 +117,7 @@ class Consumer(Service):
             .subscribe(self.topic)
         )
         self.api = context.req().connect(self.config.api_endpoint)
-        self._wake = threading.Event()
+        self._wake = Wake()
         self.subscription.wakers.add(self._wake)
         #: High-water marks keyed by event *source* — the ``shard``
         #: label on published batches, or ``None`` for an unlabelled

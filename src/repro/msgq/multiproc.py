@@ -30,16 +30,19 @@ and nothing is delivered twice.  (The child's in-memory historic
 window does not survive the restart — the live stream is the
 loss-free path, as for a PUB message missed by a slow joiner.)
 
-**Waking.**  The bridge never polls.  Its ``bridge`` worker is woken by
-its own PULL and REP sockets (a report or a request arriving); a
-``reader`` worker blocks on the child→parent queue's pipe and the
-child's process sentinel together, and runs a pump whenever either is
-ready — so acks, publications and replies are handled as they arrive,
-a child that dies is respawned at once, and reports held back by a
-full child inbox move on as soon as the child acks.
+**Waking.**  The bridge never polls, and its pump never blocks: it
+runs on the process scheduler with every other woken step.  Its
+``bridge`` worker is rung by its own PULL and REP sockets (a report or
+a request arriving) and by a ``reader`` thread, which only blocks on
+the child→parent queue's pipe and the child's process sentinel: it
+hands the frames it reads over and rings the bridge, so every frame is
+handled on the scheduler.  Acks, publications and replies are handled
+as they arrive, a child that dies is respawned at once, and reports or
+requests held back by a full child inbox (they stay in their mailbox)
+move on as soon as the child acks.
 
 Children are started with the ``spawn`` method by default: forking a
-multi-threaded parent (supervisor sweeps, worker loops, queue feeder
+multi-threaded parent (the scheduler, bridge readers, queue feeder
 threads) risks cloning held locks; a fresh interpreter does not.
 ``spawn`` installs the parent's ``sys.path`` in the child before it
 unpickles :func:`_shard_main`, so the child finds ``repro`` however
@@ -54,6 +57,7 @@ import pickle
 import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from itertools import count
 from multiprocessing.connection import wait
@@ -67,6 +71,7 @@ from repro.msgq.framing import (
     encode_entries,
     encode_report,
 )
+from repro.runtime.scheduler import Wake
 from repro.runtime.service import Service, ServiceCrash, WorkerSpec
 from repro.telemetry.relay import RegistryRelay, decode_state
 
@@ -88,6 +93,10 @@ DEFAULT_INBOX_FRAMES = 64
 #: Longest the reader worker blocks on the child before re-checking
 #: for a stop (seconds): stopping a bridge waits up to this long.
 _READER_TIMEOUT = 0.05
+
+#: Most frames the reader hands over per ring, so a streaming child
+#: cannot keep the handoff lock from the pump.
+_READER_BATCH = 64
 
 #: The child's capture subscription must never drop a publication —
 #: it is drained after every batch, so depth stays one batch deep.
@@ -274,7 +283,7 @@ class ProcessShardBridge(Service):
             config.publish_endpoint
         )
         self.api = context.rep(hwm=config.hwm).bind(config.api_endpoint)
-        self._wake = threading.Event()
+        self._wake = Wake()
         self.inbound.wakers.add(self._wake)
         self.api.wakers.add(self._wake)
         self._mp = multiprocessing.get_context(start_method)
@@ -283,6 +292,14 @@ class ProcessShardBridge(Service):
         self._events_q = None
         self._proc = None
         self._pump_lock = threading.RLock()
+        #: Child frames the reader thread read, in order, not yet
+        #: handled.  Every read of the child queue happens under
+        #: ``_handoff_lock`` and lands here before any later one.
+        self._handoff: deque = deque()
+        self._handoff_lock = threading.Lock()
+        #: Set by every (re)spawn: the reader waits on it after seeing
+        #: the child die, instead of spinning on the dead sentinel.
+        self._respawned = threading.Event()
         self._bid_counter = count(1)
         self._rid_counter = count(1)
         #: Forwarded-but-unacked batches, by batch id, in send order.
@@ -399,6 +416,7 @@ class ProcessShardBridge(Service):
         for rid, data in sorted(self._pending_requests.items()):
             self._inbox_q.put(("req", rid, data))
         self._tuning_dirty = self._flush_batch_events != self.config.batch_events
+        self._respawned.set()
 
     def _discard_queues(self) -> None:
         for q in (self._inbox_q, self._events_q):
@@ -410,6 +428,7 @@ class ProcessShardBridge(Service):
             except Exception:
                 pass
         self._inbox_q = self._events_q = None
+        self._respawned.clear()
 
     def _ensure_child(self) -> int:
         proc = self._proc
@@ -517,10 +536,15 @@ class ProcessShardBridge(Service):
                 payload = self.inbound.recv(block=False)
             except WouldBlock:
                 break
-            bid = next(self._bid_counter)
             data = encode_report(payload)
+            bid = next(self._bid_counter)
+            try:
+                self._inbox_q.put_nowait(("batch", bid, data))
+            except queue.Full:
+                # The report stays in the PULL mailbox for a later pump.
+                self.inbound.requeue([payload])
+                break
             self._inflight[bid] = data
-            self._inbox_q.put(("batch", bid, data))
             self._batches_received.inc()
             try:
                 self._events_forwarded.inc(len(payload))
@@ -532,23 +556,21 @@ class ProcessShardBridge(Service):
 
     def _forward_requests(self) -> int:
         work = 0
-        while True:
+        while self._inbox_capacity() > 0:
             try:
                 request, channel = self.api.recv(timeout=0)
             except WouldBlock:
                 break
             rid = next(self._rid_counter)
             data = pickle.dumps(request)
-            self._pending_replies[rid] = channel
-            self._pending_requests[rid] = data
             try:
-                self._inbox_q.put(("req", rid, data), timeout=1.0)
+                self._inbox_q.put_nowait(("req", rid, data))
             except queue.Full:
                 # Give the request back to the REP mailbox untouched.
-                self._pending_replies.pop(rid, None)
-                self._pending_requests.pop(rid, None)
                 self.api._requests.requeue([(request, channel)])
                 break
+            self._pending_replies[rid] = channel
+            self._pending_requests[rid] = data
             work += 1
         return work
 
@@ -581,16 +603,26 @@ class ProcessShardBridge(Service):
                 "shard child crashed: %s", self._child_error
             )
 
-    def _drain_child(self) -> int:
-        work = 0
-        while True:
+    def _take_frames(self, events_q, limit: Optional[int] = None) -> list:
+        """Read the child's pending frames, in order (handoff lock held)."""
+        frames: list = []
+        if events_q is None:  # between a child's death and its respawn
+            return frames
+        while limit is None or len(frames) < limit:
             try:
-                frame = self._events_q.get_nowait()
+                frames.append(events_q.get_nowait())
             except (queue.Empty, OSError, ValueError):
                 break
+        return frames
+
+    def _drain_child(self) -> int:
+        with self._handoff_lock:
+            frames = list(self._handoff)
+            self._handoff.clear()
+            frames += self._take_frames(self._events_q)
+        for frame in frames:
             self._handle_frame(frame)
-            work += 1
-        return work
+        return len(frames)
 
     def pump_once(self, timeout: float = 0.0) -> int:
         """One bridge sweep; returns the number of frames moved.
@@ -619,27 +651,45 @@ class ProcessShardBridge(Service):
 
     # -- service runtime ----------------------------------------------------
 
-    def _read_child(self) -> None:
-        """Reader step: block until the child has output (or has died),
-        then pump.
-
-        The queue and process are re-read every step, so a respawn
-        (which replaces both) is picked up on the next wait; a wait
-        broken by a respawn closing the old queue just pumps again.
-        """
-        with self._pump_lock:
-            events_q, proc = self._events_q, self._proc
+    def _wait_child(self, timeout: float) -> list:
+        """Block until the child has output or has died (or *timeout*);
+        returns what is ready.  A queue closed under the wait by a
+        respawn counts as ready, so the caller re-reads."""
+        events_q, proc = self._events_q, self._proc
+        if events_q is None or proc is None:
+            self._respawned.wait(timeout)
+            return []
         try:
-            ready = wait(
-                [events_q._reader, proc.sentinel], timeout=_READER_TIMEOUT
-            )
+            return wait([events_q._reader, proc.sentinel], timeout=timeout)
         except (OSError, ValueError):
-            ready = True
-        if ready:
-            self.pump_once()
+            return [None]
+
+    def _read_child(self) -> None:
+        """Reader step: wait for the child, hand its frames over, ring.
+
+        The reader never handles a frame itself — the bridge step does,
+        on the scheduler.  After the child dies it rings once and waits
+        for the respawn rather than spinning on the dead sentinel.
+        """
+        events_q, proc = self._events_q, self._proc
+        ready = self._wait_child(_READER_TIMEOUT)
+        if not ready:
+            return
+        if events_q is not None and events_q._reader in ready:
+            with self._handoff_lock:
+                self._handoff.extend(
+                    self._take_frames(events_q, _READER_BATCH)
+                )
+        if proc is not None and proc.sentinel in ready:
+            self._respawned.clear()
+            if self._proc is proc:
+                self._wake.set()
+                self._respawned.wait(_READER_TIMEOUT)
+            return
+        self._wake.set()
 
     def worker_specs(self) -> list[WorkerSpec]:
-        # The reader blocks in its own step, so it runs back to back.
+        # The reader blocks in its own step, so it keeps a thread.
         return [
             WorkerSpec("bridge", self.pump_once, wake=self._wake),
             WorkerSpec("reader", self._read_child, interval=0.0),
@@ -649,9 +699,12 @@ class ProcessShardBridge(Service):
         # Final settle: collect outstanding acks/replies so a stop in
         # the middle of a burst does not leave batches unaccounted.
         deadline = time.monotonic() + 2.0
-        while self.busy and time.monotonic() < deadline:
+        while self.busy:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
             if self.pump_once() == 0:
-                time.sleep(0.002)
+                self._wait_child(remaining)
 
     def on_close(self) -> None:
         self.inbound.wakers.remove(self._wake)

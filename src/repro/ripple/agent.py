@@ -25,7 +25,6 @@ remain readable properties.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
@@ -43,7 +42,7 @@ from repro.ripple.actions import (
 )
 from repro.ripple.index import RuleIndex, eval_pressure
 from repro.ripple.rules import Rule
-from repro.runtime import Service, WorkerSpec
+from repro.runtime import Service, Wake, WorkerSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ripple.service import RippleService
@@ -106,7 +105,7 @@ class RippleAgent(Service):
         #: Action requests routed to this agent, awaiting execution.
         self.inbox: Deque[ActionRequest] = deque()
         # Rung by enqueue_action so the pump runs an action at once.
-        self._wake = threading.Event()
+        self._wake = Wake()
         #: Named container images and callables available to actions.
         self.containers: Dict[str, Callable] = {}
         self.callables: Dict[str, Callable] = {}
@@ -386,8 +385,10 @@ class RippleAgent(Service):
         results: list[ActionResult] = []
         while self.inbox:
             if self.rate_limiter is not None and not self.rate_limiter.take():
-                # Out of tokens: leave the rest queued for a later round.
+                # Out of tokens: leave the rest queued for the round
+                # the next token allows.
                 self._actions_deferred.inc()
+                self._wake.ring_after(self.rate_limiter.delay_until_available())
                 break
             request = self.inbox.popleft()
             request.attempts += 1

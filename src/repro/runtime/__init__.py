@@ -5,9 +5,12 @@ Consumers, watchdog Observers, serverless workers, Ripple agents —
 runs on this runtime instead of hand-rolled daemon-thread loops:
 
 * :class:`Service` — idempotent ``start()/stop()/close()``, named
-  worker loops (woken by their readiness source, or periodic), crash
+  workers (woken by their readiness source, or periodic), crash
   detection, and the uniform ``stats()``/``health()`` protocol over a
   shared :class:`~repro.metrics.MetricsRegistry`.
+* :class:`Wake` — a woken worker's doorbell; ringing it queues the
+  worker's step on the process's one scheduler thread
+  (:mod:`repro.runtime.scheduler`).
 * :class:`Supervisor` — dependency-ordered start / reverse-order stop
   of child services, plus crash restart under a :class:`RestartPolicy`.
 * :func:`call_with_pump` — the deterministic REQ/REP helper used to
@@ -21,6 +24,7 @@ from repro.runtime.service import (
     WorkerSpec,
     call_with_pump,
 )
+from repro.runtime.scheduler import Wake
 from repro.runtime.supervisor import RestartPolicy, Supervisor
 
 __all__ = [
@@ -28,6 +32,7 @@ __all__ = [
     "ServiceCrash",
     "ServiceState",
     "WorkerSpec",
+    "Wake",
     "RestartPolicy",
     "Supervisor",
     "call_with_pump",

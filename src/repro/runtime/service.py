@@ -1,28 +1,26 @@
 """The Service base class: one lifecycle for every pipeline component.
 
 The monitor is a tree of long-running cooperating services — per-MDS
-Collectors, the multi-threaded Aggregator, Consumers, watchdog
-observers, serverless workers, Ripple agents.  Before this module each
-of them re-implemented the same ad-hoc lifecycle (daemon thread +
-``threading.Event`` + busy poll + manual join).  :class:`Service`
-factors that out:
+Collectors, the Aggregator shards, Consumers, watchdog observers,
+serverless workers, Ripple agents.  :class:`Service` gives all of them
+one lifecycle:
 
 * **Idempotent lifecycle** — ``start()`` twice is a no-op, ``stop()``
-  joins workers and runs the flush hook, ``close()`` after ``stop()``
-  is safe and releases resources exactly once.
-* **Named worker loops, woken or periodic** — a worker repeatedly
-  calls a step function in one of two modes.  A *woken* worker
-  (``wake=...``) owns a :class:`threading.Event` that its readiness
-  source rings: it clears the wake, runs the step, and when the step
-  found no work blocks on the wake (``max_idle_wait`` is only a
-  safety-net re-check, not a poll period).  The ringers are the
-  sources themselves — a socket mailbox on every delivery (aggregator
-  pump and API, consumer subscriptions, the process bridge), a
-  ChangeLog on every append (collectors), a reliable queue on every
-  send (serverless executors), an agent's action inbox.  A *periodic*
-  worker (``interval=...``) waits a fixed period before every step
-  (sweepers, samplers); ``interval=0`` suits a step that blocks on its
-  own socket or pipe with a timeout.
+  waits for the workers and runs the flush hook, ``close()`` after
+  ``stop()`` is safe and releases resources exactly once.
+* **Named workers, woken or periodic** — a worker repeatedly calls a
+  step function.  A *woken* worker (``wake=...``) has a
+  :class:`~repro.runtime.scheduler.Wake` that its readiness sources
+  ring: a socket mailbox on every delivery (aggregator pump and API,
+  consumer subscriptions, the process bridge), a ChangeLog on every
+  append (collectors), a reliable queue on every send (serverless
+  executors), an agent's action inbox.  A ring queues the step on the
+  process's one scheduler thread (:mod:`repro.runtime.scheduler`),
+  which runs it again at once while it keeps finding work.  A
+  *periodic* worker (``interval > 0``) steps once per interval off the
+  same thread's timer heap (sweepers, samplers).  Only a worker whose
+  step blocks in the OS — on its own socket or pipe, with a timeout —
+  runs back to back on a thread of its own (``interval=0``).
 * **Crash detection** — an exception escaping a step marks the service
   ``CRASHED`` and records the error; a :class:`~repro.runtime.Supervisor`
   notices and applies its restart policy.
@@ -32,7 +30,7 @@ factors that out:
 
 Deterministic single-stepping is untouched: services keep their
 ``poll_once``/``pump_once`` methods and tests drive them directly; the
-worker loops are only the live-mode driver around those same steps.
+workers are only the live-mode driver around those same steps.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from typing import Any, Callable, Dict, Optional, Union
 
 from repro.errors import ReproError
 from repro.metrics.registry import MetricsRegistry, ScopedRegistry
+from repro.runtime.scheduler import Wake, scheduler
 from repro.util.logging import get_logger
 
 
@@ -68,34 +67,32 @@ class ServiceState(str, Enum):
 
 @dataclass
 class WorkerSpec:
-    """One named worker loop of a service.
+    """One named worker of a service.
 
     step:
         Called repeatedly while the service runs.  Its return value is
         the amount of work done; falsy means idle.  An escaping
         exception crashes the service.
     wake:
-        Makes the worker *woken*: the event is cleared before every
-        step, and after an idle step the worker blocks until something
-        sets it.  Whatever feeds the step's work must set it — a ring
-        made while the step runs is kept, so the next step follows at
-        once.  ``stop()`` sets it too.
-    max_idle_wait:
-        Longest a woken worker blocks without a ring before re-running
-        its step — a safety net for readiness that no ringer reports
-        (e.g. a visibility timeout expiring), not a poll period.
+        Makes the worker *woken*: every ring of the wake queues one
+        step, and a step that did work is queued again.  Whatever feeds
+        the step's work must ring it — a ring made while the step runs
+        is kept, so the step runs once more.  Readiness that no enqueue
+        reports (a timeout expiring) rings it through
+        :meth:`~repro.runtime.scheduler.Wake.ring_after`.
     interval:
-        Makes the worker *periodic*: it waits *interval* seconds
-        (interruptible by stop) before every step, ignoring the step's
-        return value.
+        Makes the worker *periodic*: it steps every *interval* seconds,
+        the first time one interval after start, ignoring the step's
+        return value.  ``interval=0`` is for a step that blocks on its
+        own socket or pipe with a timeout: it runs back to back on a
+        thread of its own.
 
     Exactly one of *wake* and *interval* must be given.
     """
 
     name: str
     step: Callable[[], Any]
-    wake: Optional[threading.Event] = None
-    max_idle_wait: float = 0.05
+    wake: Optional[Wake] = None
     interval: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -104,6 +101,16 @@ class WorkerSpec:
                 f"worker {self.name!r} needs exactly one of wake= "
                 "(woken) or interval= (periodic)"
             )
+        if self.wake is not None and not isinstance(self.wake, Wake):
+            raise TypeError(
+                f"worker {self.name!r}: wake= takes a repro.runtime.Wake, "
+                f"not {type(self.wake).__name__}"
+            )
+
+    @property
+    def blocking(self) -> bool:
+        """True for a worker that keeps a thread of its own."""
+        return self.interval is not None and self.interval <= 0
 
 
 class Service:
@@ -124,8 +131,8 @@ class Service:
         self._service_log = get_logger(f"runtime.{name}")
         self._lifecycle_lock = threading.RLock()
         self._halt = threading.Event()
+        #: Threads of the workers that block in the OS (``interval=0``).
         self._worker_threads: list[threading.Thread] = []
-        self._worker_wakes: list[threading.Event] = []
         self._state = ServiceState.NEW
         self._closed = False
         #: Times this service was restarted by a supervisor.
@@ -133,9 +140,12 @@ class Service:
         #: The exception that crashed the service (if any).
         self.last_error: Optional[BaseException] = None
         #: Woken steps that found no work: the re-check after every
-        #: step that did work, safety-net re-checks, and rings whose
-        #: work another worker took first.
+        #: step that did work, and rings whose work an earlier step
+        #: took first.
         self._idle_wakeups = self.metrics.counter("idle_wakeups")
+        #: Steps of this registry's services that held the scheduler
+        #: thread longer than ``STEP_BUDGET`` (registry-wide).
+        self._steps_over_budget = registry.counter("runtime.steps_over_budget")
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -144,10 +154,10 @@ class Service:
         return []
 
     def on_start(self) -> None:
-        """Hook before worker threads launch."""
+        """Hook before the workers start."""
 
     def on_stop(self) -> None:
-        """Flush hook after worker threads have joined."""
+        """Flush hook after the workers have stopped."""
 
     def on_close(self) -> None:
         """Release-resources hook; runs exactly once."""
@@ -171,7 +181,10 @@ class Service:
         return {
             "state": self._state.value,
             "restart_count": self.restart_count,
-            "workers": [t.name for t in self._worker_threads if t.is_alive()],
+            "workers": [
+                *scheduler.names(self),
+                *(t.name for t in self._worker_threads if t.is_alive()),
+            ],
             "last_error": repr(self.last_error) if self.last_error else None,
         }
 
@@ -182,7 +195,7 @@ class Service:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Start every worker loop (idempotent)."""
+        """Start every worker (idempotent)."""
         with self._lifecycle_lock:
             if self._state is ServiceState.RUNNING:
                 return
@@ -193,9 +206,10 @@ class Service:
             self._worker_threads = []
             self._state = ServiceState.RUNNING
             self.on_start()
-            specs = self.worker_specs()
-            self._worker_wakes = [s.wake for s in specs if s.wake is not None]
-            for spec in specs:
+            for spec in self.worker_specs():
+                if not spec.blocking:
+                    self._run_worker(spec)
+                    continue
                 thread = threading.Thread(
                     target=self._run_worker,
                     args=(spec,),
@@ -206,13 +220,17 @@ class Service:
                 self._worker_threads.append(thread)
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop worker loops, join them, and flush (idempotent)."""
+        """Stop the workers, wait for them, and flush (idempotent).
+
+        A step of this service running on the scheduler thread is
+        waited for; called from a step (a supervisor restarting a
+        child), there is none in flight to wait for.
+        """
         with self._lifecycle_lock:
             if self._state not in (ServiceState.RUNNING, ServiceState.CRASHED):
                 return
             self._halt.set()
-            for wake in self._worker_wakes:
-                wake.set()
+            scheduler.release(self, timeout)
             current = threading.current_thread()
             for thread in self._worker_threads:
                 if thread is not current:
@@ -238,27 +256,29 @@ class Service:
                 self._closed = True
                 self.on_close()
 
-    # -- worker loop --------------------------------------------------------
+    # -- workers ------------------------------------------------------------
 
     def _run_worker(self, spec: WorkerSpec) -> None:
+        """Run one worker: a woken or periodic one is registered with
+        the process scheduler (and this returns); a blocking one loops
+        on the calling thread until stop."""
+        if not spec.blocking:
+            scheduler.add(self, spec)
+            return
         try:
-            if spec.interval is not None:
-                while not self._halt.wait(spec.interval):
-                    spec.step()
-                return
-            wake = spec.wake
             while not self._halt.is_set():
-                wake.clear()
-                if not spec.step():
-                    self._idle_wakeups.inc()
-                    wake.wait(spec.max_idle_wait)
+                spec.step()
         except BaseException as exc:
-            self.last_error = exc
-            self._state = ServiceState.CRASHED
-            self.metrics.counter("crashes").inc()
-            self._service_log.warning(
-                "worker %s crashed: %s: %s", spec.name, type(exc).__name__, exc
-            )
+            self._crash(spec, exc)
+
+    def _crash(self, spec: WorkerSpec, exc: BaseException) -> None:
+        """Mark the service crashed by *exc* escaping *spec*'s step."""
+        self.last_error = exc
+        self._state = ServiceState.CRASHED
+        self.metrics.counter("crashes").inc()
+        self._service_log.warning(
+            "worker %s crashed: %s: %s", spec.name, type(exc).__name__, exc
+        )
 
 
 def call_with_pump(

@@ -1,9 +1,25 @@
-"""Shared utilities: clocks, id generation, path helpers, token buckets."""
+"""Shared utilities: clocks, id generation, path helpers, token buckets.
 
-from repro.util.clock import Clock, ManualClock, WallClock
-from repro.util.idgen import IdGenerator, monotonic_id
-from repro.util.paths import basename, dirname, join, normalize, split_components
-from repro.util.tokens import TokenBucket
+The re-exports resolve on first use (:mod:`repro.util.lazy`), so a
+module that needs one helper — ``repro.util.clock``, say — does not
+load the others.
+"""
+
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Clock": ".clock",
+    "ManualClock": ".clock",
+    "WallClock": ".clock",
+    "IdGenerator": ".idgen",
+    "monotonic_id": ".idgen",
+    "normalize": ".paths",
+    "split_components": ".paths",
+    "join": ".paths",
+    "basename": ".paths",
+    "dirname": ".paths",
+    "TokenBucket": ".tokens",
+})
 
 __all__ = [
     "Clock",

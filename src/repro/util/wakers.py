@@ -1,22 +1,24 @@
-"""Readiness wakers: the events a work source sets when work arrives.
+"""Readiness wakers: the doorbells a work source rings when work arrives.
 
-A woken service worker (``WorkerSpec(wake=...)``) blocks on one
-:class:`threading.Event`; every source it consumes — a socket mailbox,
-a ChangeLog, a reliable queue — keeps a :class:`Wakers` set and rings
-it after each enqueue, so the worker runs as soon as there is work
-instead of polling for it.
+A woken service worker (``WorkerSpec(wake=...)``) has one wake — a
+:class:`repro.runtime.Wake` — and every source it consumes (a socket
+mailbox, a ChangeLog, a reliable queue) keeps a :class:`Wakers` set and
+rings it after each enqueue, so the worker's step is queued as soon as
+there is work instead of polling for it.  Any object with ``set()`` (and
+``ring_after(delay)`` for :meth:`Wakers.ring_after`) can be registered.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Any
 
 
 class Wakers:
-    """The readiness events one work source sets on every enqueue.
+    """The wakes one work source rings on every enqueue.
 
     Registration happens once per consumer object, not per worker
-    start, so :meth:`add` ignores an event already present.  The set is
+    start, so :meth:`add` ignores a wake already present.  The set is
     replaced rather than mutated, so :meth:`ring` — on the enqueue hot
     path — reads it without taking the lock.
     """
@@ -24,25 +26,30 @@ class Wakers:
     __slots__ = ("_events", "_lock")
 
     def __init__(self) -> None:
-        self._events: tuple[threading.Event, ...] = ()
+        self._events: tuple[Any, ...] = ()
         self._lock = threading.Lock()
 
-    def add(self, wake: threading.Event) -> None:
-        """Set *wake* on every ring from now on."""
+    def add(self, wake: Any) -> None:
+        """Ring *wake* on every ring from now on."""
         with self._lock:
             if wake not in self._events:
                 self._events = (*self._events, wake)
 
-    def remove(self, wake: threading.Event) -> None:
-        """Stop setting *wake* (no-op when it is not registered)."""
+    def remove(self, wake: Any) -> None:
+        """Stop ringing *wake* (no-op when it is not registered)."""
         with self._lock:
             self._events = tuple(w for w in self._events if w is not wake)
 
     def ring(self) -> None:
-        """Set every registered event that is not already set."""
+        """Ring every registered wake."""
         for wake in self._events:
-            if not wake.is_set():
-                wake.set()
+            wake.set()
+
+    def ring_after(self, delay: float) -> None:
+        """Ring every registered wake once *delay* seconds from now —
+        for readiness no enqueue reports, such as a timeout expiring."""
+        for wake in self._events:
+            wake.ring_after(delay)
 
     def __len__(self) -> int:
         return len(self._events)

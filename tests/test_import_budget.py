@@ -39,9 +39,15 @@ CHILD_NEVER = (
     "repro.telemetry.alerts",
     "repro.lustre.filesystem",
     "http.server",
+    # repro.util's helpers the child has no use for.
+    "repro.util.idgen",
+    "repro.util.paths",
+    "repro.util.tokens",
 )
 
-LAZY_PACKAGES = ("repro", "repro.core", "repro.lustre", "repro.telemetry")
+LAZY_PACKAGES = (
+    "repro", "repro.core", "repro.lustre", "repro.telemetry", "repro.util",
+)
 
 
 def _loaded_after(*modules):

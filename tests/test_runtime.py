@@ -19,6 +19,7 @@ from repro.runtime import (
     Service,
     ServiceCrash,
     Supervisor,
+    Wake,
     WorkerSpec,
 )
 from repro.util.clock import ManualClock
@@ -34,7 +35,7 @@ class Ticker(Service):
         self.started_hooks = 0
         self.stopped_hooks = 0
         self.closed_hooks = 0
-        self.wake = threading.Event()
+        self.wake = Wake()
 
     def tick(self):
         if self.fail_after is not None and len(self.ticks) >= self.fail_after:
@@ -68,9 +69,10 @@ class TestServiceLifecycle:
     def test_double_start_is_noop(self):
         service = Ticker()
         service.start()
-        threads = list(service._worker_threads)
-        service.start()  # must not spawn a second set of workers
-        assert service._worker_threads == threads
+        workers = service.health()["workers"]
+        assert workers == ["ticker-tick"]
+        service.start()  # must not register a second set of workers
+        assert service.health()["workers"] == workers
         assert service.started_hooks == 1
         service.close()
 
@@ -134,13 +136,13 @@ class TestServiceLifecycle:
 class Woken(Service):
     """A woken worker whose step takes work from a list of jobs.
 
-    ``max_idle_wait`` is 10 s, so only a ring can make it step again
-    within a test's deadline — a polling loop cannot pass these tests.
+    Nothing re-runs an idle woken step on a timer, so only a ring can
+    make it step again — a polling loop cannot pass these tests.
     """
 
     def __init__(self):
         super().__init__("woken")
-        self.wake = threading.Event()
+        self.wake = Wake()
         self.jobs = []
         self.done = []
         self.steps = 0
@@ -159,9 +161,7 @@ class Woken(Service):
         return moved
 
     def worker_specs(self):
-        return [
-            WorkerSpec("step", self.step, wake=self.wake, max_idle_wait=10.0)
-        ]
+        return [WorkerSpec("step", self.step, wake=self.wake)]
 
     def ring(self, job):
         self.jobs.append(job)
@@ -194,7 +194,7 @@ class TestWokenWorkers:
             settle(service)
             # An idle step (woken with nothing to do) sees a job arrive
             # after its drain: the step reports no work, so only the
-            # ring it kept can run the next step before max_idle_wait.
+            # ring it kept can run the next step.
             service.after_drain = lambda: service.ring("late")
             service.wake.set()
             assert wait_for(lambda: service.done, timeout=1.0)
@@ -217,7 +217,7 @@ class TestWokenWorkers:
             WorkerSpec("idle", lambda: 0)
         with pytest.raises(ValueError, match="exactly one"):
             WorkerSpec(
-                "both", lambda: 0, wake=threading.Event(), interval=1.0
+                "both", lambda: 0, wake=Wake(), interval=1.0
             )
 
     def test_idle_wakeups_counted(self):

@@ -1,12 +1,12 @@
 """Readiness wake-ups: no hop of the live pipeline polls on a timer.
 
-Every data-path worker blocks on its own readiness source (a socket
+Every data-path step is queued by its own readiness source (a socket
 mailbox, a ChangeLog, a reliable queue, an agent's inbox, the process
-bridge's child pipe).  With every woken worker's safety-net re-check
-stretched to 5 s, a single ``fs.create`` must still reach a subscriber
-and a Ripple action within 1 s — a hop that still relied on a timer
-would cost at least the 5 s.  The waker-lifetime tests pin that
-registrations are made once per object and dropped on close.
+bridge's child pipe).  No woken worker has a timed re-check to fall
+back on, so a single ``fs.create`` must reach a subscriber and a Ripple
+action within 1 s on rings alone — a hop whose ring went missing would
+never arrive.  The waker-lifetime tests pin that registrations are made
+once per object and dropped on close.
 """
 
 import dataclasses
@@ -24,24 +24,19 @@ from repro.lustre import DnePolicy, LustreFilesystem
 from repro.msgq import Context
 from repro.msgq.multiproc import MultiprocTransport
 from repro.ripple import Action, RippleAgent, RippleService, Trigger
-from repro.runtime import RestartPolicy, Service, ServiceCrash, Supervisor
+from repro.runtime import RestartPolicy, ServiceCrash, Supervisor, WorkerSpec
 
+#: How long a test waits for an arrival it expects far sooner.
 SAFETY_NET = 5.0
 
 
 @pytest.fixture
 def no_safety_net(monkeypatch):
-    """Stretch every woken worker's re-check to SAFETY_NET seconds, and
-    turn off the child→parent metrics relay, whose periodic frames
-    would otherwise pump the process bridge on a timer."""
-    run_worker = Service._run_worker
-
-    def stretched(service, spec):
-        if spec.wake is not None:
-            spec = dataclasses.replace(spec, max_idle_wait=SAFETY_NET)
-        return run_worker(service, spec)
-
-    monkeypatch.setattr(Service, "_run_worker", stretched)
+    """Pin that woken workers have no timed re-check left, and turn off
+    the child→parent metrics relay, whose periodic frames would
+    otherwise ring the process bridge on a timer."""
+    fields = {field.name for field in dataclasses.fields(WorkerSpec)}
+    assert fields == {"name", "step", "wake", "interval"}
     process_shard = MultiprocTransport.process_shard
 
     def no_relay(self, shard_id, config, registry=None, relay_interval=0.0):
