@@ -25,8 +25,10 @@ The ablation table and ``BENCH_rule_matching.json`` land in
 The install scenario prices rule *distribution*: rules added one at a
 time through ``RippleService`` reach the registered agent as deltas,
 so N installs must build exactly N compiled triggers on the agent (a
-per-change index rebuild builds N²/2).  That count is the asserted
-bar; total and per-rule install milliseconds are recorded beside it.
+per-change index rebuild builds N²/2), with no ``RuleSet.for_agent``
+slice copy and at most 2N agent index probes (shipping the whole slice
+per change probes N²/2 times).  Those counts are the asserted bars;
+total and per-rule install milliseconds are recorded beside them.
 """
 
 import json
@@ -36,7 +38,7 @@ import time
 
 from repro.core.events import EventType, FileEvent
 from repro.ripple.agent import RippleAgent
-from repro.ripple.index import CompiledTrigger
+from repro.ripple.index import CompiledTrigger, RuleIndex
 from repro.ripple.rules import Action, Rule, RuleSet, Trigger
 from repro.ripple.service import RippleService
 
@@ -328,9 +330,23 @@ class TestRuleInstallBench:
             built.append(rule.rule_id)
 
         monkeypatch.setattr(CompiledTrigger, "__init__", counting_init)
+        probes = {"for_agent": 0, "contains": 0}
+        original_for_agent = RuleSet.for_agent
+        original_contains = RuleIndex.__contains__
+
+        def counting_for_agent(self, agent_id):
+            probes["for_agent"] += 1
+            return original_for_agent(self, agent_id)
+
+        def counting_contains(self, rule_id):
+            probes["contains"] += 1
+            return original_contains(self, rule_id)
+
         service = RippleService()
         agent = RippleAgent("a")
         service.register_agent(agent)
+        monkeypatch.setattr(RuleSet, "for_agent", counting_for_agent)
+        monkeypatch.setattr(RuleIndex, "__contains__", counting_contains)
         started = time.perf_counter()
         for i in range(N_INSTALL_RULES):
             service.add_rule(
@@ -339,6 +355,10 @@ class TestRuleInstallBench:
                 Action("email", "a"),
             )
         install_ms = (time.perf_counter() - started) * 1000.0
+        # One delta per rule: no slice copy, O(1) index probes per add
+        # (shipping the whole slice each time probes N²/2 times).
+        assert probes["for_agent"] == 0
+        assert probes["contains"] <= 2 * N_INSTALL_RULES
         # Linear construction: one compiled trigger per installed rule,
         # all on the agent (the service compiles its own index only on
         # its first match).
@@ -354,6 +374,7 @@ class TestRuleInstallBench:
         record_bench(install={
             "rules": N_INSTALL_RULES,
             "agent_triggers_built": len(built),
+            "agent_index_probes": probes["contains"],
             "install_ms": round(install_ms, 3),
             "install_ms_per_rule": round(install_ms / N_INSTALL_RULES, 5),
         })

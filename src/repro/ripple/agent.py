@@ -29,7 +29,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
 from repro.core.events import FileEvent
-from repro.errors import RippleError
+from repro.errors import ReproError, RippleError
 from repro.fs.memfs import MemoryFilesystem
 from repro.metrics.tracing import Tracer, make_tracer
 from repro.fs.watchdog import FileSystemEvent, FileSystemEventHandler, Observer
@@ -43,9 +43,15 @@ from repro.ripple.actions import (
 from repro.ripple.index import RuleIndex, eval_pressure
 from repro.ripple.rules import Rule
 from repro.runtime import Service, Wake, WorkerSpec
+from repro.util.logging import get_logger
+from repro.util.paths import is_ancestor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fs.watchdog import _Schedule
     from repro.ripple.service import RippleService
+
+
+_log = get_logger("ripple.agent")
 
 
 class _AgentHandler(FileSystemEventHandler):
@@ -91,15 +97,21 @@ class RippleAgent(Service):
         #: execute_pending() defers work once tokens run out instead of
         #: letting a rule storm starve the host.
         self.rate_limiter = None
-        self.rules: list[Rule] = []
+        #: The agent's rules by id, in the order the service pushed them.
+        self._rules: dict[int, Rule] = {}
         #: Compiled matching engine over the active rules, kept for the
-        #: agent's lifetime (:meth:`set_rules` applies rule deltas to
-        #: it); every detected event is filtered through its path trie
-        #: instead of a linear sweep of ``self.rules``.
+        #: agent's lifetime (:meth:`add_rule`, :meth:`remove_rule` and
+        #: :meth:`rule_changed` apply one-rule deltas to it); every
+        #: detected event is filtered through its path trie instead of a
+        #: linear sweep of the rules.
         self.rule_index = RuleIndex()
         self.observer: Optional[Observer] = None
         self._handler = _AgentHandler(self)
-        self._scheduled_prefixes: set[str] = set()
+        #: Watched prefixes and their observer schedules (never nested).
+        self._schedules: dict[str, "_Schedule"] = {}
+        #: Prefixes awaiting their directory -> ids of the enabled rules
+        #: on them.
+        self._pending_prefixes: dict[str, set[int]] = {}
         self._monitor_consumer = None
         self._storage_monitor = None
         #: Action requests routed to this agent, awaiting execution.
@@ -197,8 +209,9 @@ class RippleAgent(Service):
     def attach_local_filesystem(self) -> Observer:
         """Start watchdog-style observation of the agent's local fs.
 
-        Watchers are placed per rule prefix when rules arrive
-        (:meth:`set_rules`); returns the Observer for lifecycle control.
+        Watchers are placed per rule prefix: for the rules already
+        installed now, for later ones as they arrive (:meth:`add_rule`).
+        Returns the Observer for lifecycle control.
         """
         if not isinstance(self.fs, MemoryFilesystem):
             raise RippleError(
@@ -206,6 +219,8 @@ class RippleAgent(Service):
             )
         if self.observer is None:
             self.observer = Observer(self.fs)
+            for rule in self._rules.values():
+                self._track_watcher(rule)
         return self.observer
 
     def attach_lustre_monitor(self, monitor) -> None:
@@ -273,47 +288,93 @@ class RippleAgent(Service):
     # Rules
     # ------------------------------------------------------------------
 
-    def set_rules(self, rules: list[Rule]) -> None:
-        """Replace the active rule set (called by the service).
+    @property
+    def rules(self) -> list[Rule]:
+        """The agent's rule slice, in ``RuleSet.for_agent`` order."""
+        return list(self._rules.values())
 
-        The change is applied to the live index as a delta keyed by
-        ``rule_id``: vanished rules are removed, new ones added in list
-        order (so insertion order matches ``RuleSet.for_agent``), and
-        rules whose ``enabled`` flag disagrees with index membership are
-        re-indexed.  A rule change therefore costs one trigger
-        compilation, not a rebuild of every rule, and the index's op
-        counters keep counting across rule churn.
+    def add_rule(self, rule: Rule) -> None:
+        """Install one rule pushed by the service.
 
-        For locally observed filesystems this also schedules watchers on
-        each distinct rule prefix — "the agent employs Watchers on each
-        directory relevant to a rule".
+        The live index compiles the rule's trigger (a disabled rule only
+        gets its order stamp pinned), so installing N rules one by one
+        costs N compilations and no walk of the slice.  On a
+        locally observed filesystem the rule's prefix gets a watcher
+        unless one already covers it — "the agent employs Watchers on
+        each directory relevant to a rule".
         """
-        index = self.rule_index
-        previous = {rule.rule_id for rule in self.rules}
-        incoming = {rule.rule_id for rule in rules}
-        for rule in self.rules:
-            if rule.rule_id not in incoming:
-                index.remove(rule)
-        for rule in rules:
-            if rule.rule_id not in previous:
-                index.add(rule)  # disabled rules get their stamp pinned
-            elif rule.enabled != (rule.rule_id in index):
-                index.set_enabled(rule)
-        self.rules = list(rules)
-        if self.observer is not None:
-            prefixes = sorted({
-                rule.trigger.path_prefix
-                for rule in self.rules
-                if rule.enabled
-            })
-            for prefix in prefixes:
-                already = any(
-                    prefix == p or prefix.startswith(p.rstrip("/") + "/")
-                    for p in self._scheduled_prefixes
-                )
-                if not already and self.fs.is_dir(prefix):
-                    self.observer.schedule(self._handler, prefix, recursive=True)
-                    self._scheduled_prefixes.add(prefix)
+        self._rules[rule.rule_id] = rule
+        self.rule_index.add(rule)
+        self._track_watcher(rule)
+
+    def remove_rule(self, rule: Rule) -> None:
+        """Drop one rule the service deleted (its watcher stays)."""
+        self._rules.pop(rule.rule_id, None)
+        self.rule_index.remove(rule)
+        self._track_watcher(rule)
+
+    def rule_changed(self, rule: Rule) -> None:
+        """Apply a flipped ``enabled`` flag of one installed rule.
+
+        The rule is re-indexed only when its flag disagrees with index
+        membership; it keeps its order stamp across the round-trip.
+        """
+        if rule.enabled != (rule.rule_id in self.rule_index):
+            self.rule_index.set_enabled(rule)
+        self._track_watcher(rule)
+
+    def _track_watcher(self, rule: Rule) -> None:
+        """Queue or drop *rule*'s prefix, then place what can be placed.
+
+        A prefix whose directory does not exist yet waits in
+        ``_pending_prefixes`` (with the ids of the enabled rules that
+        want it) and is retried on every later rule delta.
+        """
+        if self.observer is None:
+            return
+        prefix = rule.trigger.path_prefix
+        waiting = self._pending_prefixes.setdefault(prefix, set())
+        if rule.enabled and rule.rule_id in self._rules:
+            waiting.add(rule.rule_id)
+        else:
+            waiting.discard(rule.rule_id)
+        if not waiting:
+            del self._pending_prefixes[prefix]
+        self._place_pending()
+
+    def _place_pending(self) -> None:
+        for prefix in list(self._pending_prefixes):
+            if not self._watched(prefix):
+                if not self.fs.is_dir(prefix):
+                    continue
+                self._schedule(prefix)
+            del self._pending_prefixes[prefix]
+
+    def _watched(self, prefix: str) -> bool:
+        """True when *prefix* or one of its ancestors has a watcher."""
+        path = prefix
+        while path not in self._schedules:
+            if path == "/":
+                return False
+            path = path.rsplit("/", 1)[0] or "/"
+        return True
+
+    def _schedule(self, prefix: str) -> None:
+        """Watch *prefix*, retiring the watchers it now covers.
+
+        The observer hands the handler each event once per schedule
+        whose root covers it, so a nested schedule left in place would
+        run every action under it twice.  The new schedule goes in
+        before the covered ones leave, so no event falls between them.
+        """
+        self._schedules[prefix] = self.observer.schedule(
+            self._handler, prefix, recursive=True
+        )
+        for covered in [
+            path for path in self._schedules
+            if path != prefix and is_ancestor(prefix, path)
+        ]:
+            self.observer.unschedule(self._schedules.pop(covered))
 
     # ------------------------------------------------------------------
     # Event filtering and reporting
@@ -362,12 +423,16 @@ class RippleAgent(Service):
         for attempt in range(self.max_report_retries + 1):
             try:
                 self.service.report_event(self.agent_id, event, rule_ids)
-            except Exception:
+            except ReproError:
                 self._report_retries.inc()
                 continue
             self._events_reported.inc()
             return
         self._reports_abandoned.inc()
+        _log.warning(
+            "agent %s abandoned the report of %s (rules %s) after %d attempts",
+            self.agent_id, event.path, rule_ids, self.max_report_retries + 1,
+        )
 
     # ------------------------------------------------------------------
     # Action execution

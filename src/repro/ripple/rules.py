@@ -137,7 +137,9 @@ class RuleSet:
 
     def __init__(self) -> None:
         self._rules: dict[int, Rule] = {}
-        self._by_agent: dict[str, list[int]] = {}
+        #: Per-agent rule ids, insertion-ordered (dict keys, so a remove
+        #: is O(1) and ``for_agent`` order is the add order).
+        self._by_agent: dict[str, dict[int, None]] = {}
         #: Lazily-compiled per-agent matching indexes.
         self._indexes: dict[str, "RuleIndex"] = {}
         #: Insertion-order stamps: a rule disabled and later re-enabled
@@ -152,7 +154,7 @@ class RuleSet:
         if rule.rule_id in self._rules:
             raise RuleValidationError(f"duplicate rule id {rule.rule_id}")
         self._rules[rule.rule_id] = rule
-        self._by_agent.setdefault(rule.trigger.agent_id, []).append(rule.rule_id)
+        self._by_agent.setdefault(rule.trigger.agent_id, {})[rule.rule_id] = None
         self._order[rule.rule_id] = self._next_order
         self._next_order += 1
         index = self._indexes.get(rule.trigger.agent_id)
@@ -167,9 +169,9 @@ class RuleSet:
             raise RuleValidationError(f"no rule with id {rule_id}")
         agent_id = rule.trigger.agent_id
         bucket = self._by_agent[agent_id]
-        bucket.remove(rule_id)
+        del bucket[rule_id]
         if not bucket:
-            # Leaving the emptied list behind would leak one dict entry
+            # Leaving the emptied bucket behind would leak one dict entry
             # per agent ever referenced, forever, under rule churn.
             del self._by_agent[agent_id]
             self._indexes.pop(agent_id, None)
@@ -205,7 +207,7 @@ class RuleSet:
 
     def for_agent(self, agent_id: str) -> list[Rule]:
         """Rules whose trigger watches *agent_id* (the agent's filter set)."""
-        return [self._rules[rid] for rid in self._by_agent.get(agent_id, [])]
+        return [self._rules[rid] for rid in self._by_agent.get(agent_id, ())]
 
     def index_for(self, agent_id: str) -> "RuleIndex":
         """The compiled matching index for *agent_id* (built on demand)."""
@@ -214,7 +216,7 @@ class RuleSet:
             from repro.ripple.index import RuleIndex
 
             index = RuleIndex()
-            for rid in self._by_agent.get(agent_id, []):
+            for rid in self._by_agent.get(agent_id, ()):
                 index.add(self._rules[rid], order=self._order[rid])
             self._indexes[agent_id] = index
         return index

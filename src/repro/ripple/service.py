@@ -145,12 +145,18 @@ class RippleService:
     # ------------------------------------------------------------------
 
     def register_agent(self, agent: RippleAgent) -> None:
-        """Connect *agent* to this service and push its current rules."""
+        """Connect *agent* to this service and push its current rules.
+
+        The existing slice goes out one :meth:`RippleAgent.add_rule` at
+        a time, in ``RuleSet.for_agent`` order — the same path a later
+        :meth:`add_rule` takes.
+        """
         if agent.agent_id in self.agents:
             raise RippleError(f"duplicate agent id {agent.agent_id!r}")
         self.agents[agent.agent_id] = agent
         agent.service = self
-        agent.set_rules(self.rules.for_agent(agent.agent_id))
+        for rule in self.rules.for_agent(agent.agent_id):
+            agent.add_rule(rule)
 
     def agent(self, agent_id: str) -> RippleAgent:
         """Look up a registered agent."""
@@ -166,11 +172,14 @@ class RippleService:
         name: str = "",
         owner: str = "anonymous",
     ) -> Rule:
-        """Register a rule and distribute it to the triggering agent."""
+        """Register a rule and distribute it to the triggering agent.
+
+        The agent receives just this rule: one O(1) delta.
+        """
         rule = self.rules.add(Rule(trigger=trigger, action=action, name=name, owner=owner))
         watching_agent = self.agents.get(trigger.agent_id)
         if watching_agent is not None:
-            watching_agent.set_rules(self.rules.for_agent(trigger.agent_id))
+            watching_agent.add_rule(rule)
         return rule
 
     def export_rules(self) -> str:
@@ -187,25 +196,25 @@ class RippleService:
         )
 
     def remove_rule(self, rule_id: int) -> None:
-        """Delete a rule and refresh the affected agent's filter set."""
+        """Delete a rule and drop it from the affected agent's filter set."""
         rule = self.rules.get(rule_id)
         self.rules.remove(rule_id)
         watching_agent = self.agents.get(rule.trigger.agent_id)
         if watching_agent is not None:
-            watching_agent.set_rules(self.rules.for_agent(rule.trigger.agent_id))
+            watching_agent.remove_rule(rule)
 
     def set_rule_enabled(self, rule_id: int, enabled: bool) -> Rule:
         """Enable/disable a rule and refresh the affected agent.
 
         Goes through :meth:`RuleSet.set_enabled` (not direct attribute
         assignment) so the service's compiled index stays consistent,
-        then re-pushes the agent's rule slice so its local index and
-        filesystem watchers pick up the change.
+        then tells the agent (:meth:`RippleAgent.rule_changed`) so its
+        local index and filesystem watchers pick up the change.
         """
         rule = self.rules.set_enabled(rule_id, enabled)
         watching_agent = self.agents.get(rule.trigger.agent_id)
         if watching_agent is not None:
-            watching_agent.set_rules(self.rules.for_agent(rule.trigger.agent_id))
+            watching_agent.rule_changed(rule)
         return rule
 
     # ------------------------------------------------------------------

@@ -130,6 +130,77 @@ class TestRuleDeltas:
         assert candidates >= 3 and evaluated >= 3 and recompiles >= 3
 
 
+class TestWatcherPlacement:
+    """Watchers are placed per rule delta, never nested."""
+
+    def email(self, to="a@b"):
+        return Action("email", "dev", {"to": to})
+
+    def test_nested_prefixes_fire_an_action_once(self, service):
+        agent = RippleAgent("dev")
+        service.register_agent(agent)
+        agent.attach_local_filesystem()
+        agent.fs.makedirs("/a/b")
+        service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/a/b", name_pattern="*.x"),
+            self.email("b@x"),
+        )
+        service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/a", name_pattern="*.y"),
+            self.email("a@y"),
+        )
+        agent.fs.create("/a/b/f.x", b"1")
+        service.run_until_quiet()
+        # One schedule covers /a/b now: the event is seen once, not once
+        # per watched ancestor, so the /a/b action runs once.
+        assert [m["to"] for m in service.outbox] == ["b@x"]
+        assert agent.events_reported == 1
+        assert agent.actions_executed == 1
+
+    def test_prefix_watched_once_its_directory_exists(self, service):
+        agent = wired_agent(service)
+        service.add_rule(Trigger(agent_id="dev", path_prefix="/late"),
+                         self.email())
+        agent.fs.makedirs("/late")
+        agent.fs.create("/late/early", b"")
+        service.run_until_quiet()
+        assert service.outbox == []  # no watcher yet: no directory then
+        # Any later rule change retries the waiting prefix.
+        service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/in", name_pattern="*.z"),
+            self.email(),
+        )
+        agent.fs.create("/late/f", b"")
+        service.run_until_quiet()
+        assert len(service.outbox) == 1
+
+    def test_removed_rule_no_longer_waits_for_its_directory(self, service):
+        agent = wired_agent(service)
+        rule = service.add_rule(Trigger(agent_id="dev", path_prefix="/late"),
+                                self.email())
+        service.remove_rule(rule.rule_id)
+        agent.fs.makedirs("/late")
+        before = agent.observer.directories_watched
+        service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/in", name_pattern="*.z"),
+            self.email(),
+        )
+        assert agent.observer.directories_watched == before + 1  # /in only
+
+    def test_rules_installed_before_attach_are_watched_on_attach(
+        self, service
+    ):
+        agent = RippleAgent("dev")
+        agent.fs.makedirs("/in")
+        service.add_rule(Trigger(agent_id="dev", path_prefix="/in"),
+                         self.email())
+        service.register_agent(agent)
+        agent.attach_local_filesystem()
+        agent.fs.create("/in/f", b"")
+        service.run_until_quiet()
+        assert len(service.outbox) == 1
+
+
 class TestEventFlow:
     def test_rule_fires_end_to_end(self, service):
         agent = wired_agent(service)
@@ -238,6 +309,44 @@ class TestReliability:
         agent.drain_detection()
         assert agent.reports_abandoned == 1
         assert service.events_accepted == 0
+
+    def test_report_fault_retried_then_logged_once_when_abandoned(
+        self, service, caplog
+    ):
+        agent = wired_agent(service)
+        agent.max_report_retries = 2
+        rule = service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/in"),
+            Action("email", "dev", {"to": "a@b"}),
+        )
+        service.report_fault = lambda agent_id, event: True  # always fail
+        agent.fs.create("/in/f", b"")
+        with caplog.at_level("WARNING", logger="repro.ripple.agent"):
+            agent.drain_detection()
+        assert agent.report_retries == 3
+        assert agent.reports_abandoned == 1
+        abandoned = [r.getMessage() for r in caplog.records
+                     if r.name == "repro.ripple.agent"]
+        assert len(abandoned) == 1
+        assert "dev" in abandoned[0] and "/in/f" in abandoned[0]
+        assert str([rule.rule_id]) in abandoned[0]
+
+    def test_report_bug_propagates_instead_of_retrying(self, service):
+        agent = wired_agent(service)
+        service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/in"),
+            Action("email", "dev", {"to": "a@b"}),
+        )
+
+        def broken(agent_id, event):
+            raise TypeError("bug in the report path")
+
+        service.report_fault = broken
+        agent.fs.create("/in/f", b"")
+        with pytest.raises(TypeError):
+            agent.drain_detection()
+        assert agent.report_retries == 0
+        assert agent.reports_abandoned == 0
 
     def test_failed_action_retried_then_succeeds(self, service):
         agent = wired_agent(service)

@@ -755,3 +755,51 @@ class TestAgentRuleInstallCost:
         assert built[3].matches(event, "x.e3")
         assert built[3]._regex is not None
         assert sum(t._regex is not None for t in built) == 1
+
+    def test_each_rule_change_is_one_delta(self, monkeypatch):
+        """No slice copies and O(1) index probes per rule change.
+
+        Counted, not timed: shipping the agent its whole slice on every
+        change made 600 one-by-one installs cost 179,700 probes.
+        """
+        from repro.ripple.agent import RippleAgent
+        from repro.ripple.service import RippleService
+
+        calls = {"for_agent": 0, "contains": 0}
+        original_for_agent = RuleSet.for_agent
+        original_contains = RuleIndex.__contains__
+
+        def counting_for_agent(self, agent_id):
+            calls["for_agent"] += 1
+            return original_for_agent(self, agent_id)
+
+        def counting_contains(self, rule_id):
+            calls["contains"] += 1
+            return original_contains(self, rule_id)
+
+        service = RippleService()
+        agent = RippleAgent("a")
+        service.register_agent(agent)
+        monkeypatch.setattr(RuleSet, "for_agent", counting_for_agent)
+        monkeypatch.setattr(RuleIndex, "__contains__", counting_contains)
+        n = 600
+        rules = [
+            service.add_rule(
+                Trigger(agent_id="a", path_prefix=f"/t{i % 5}",
+                        name_pattern=f"*.e{i}"),
+                Action("email", "a"),
+            )
+            for i in range(n)
+        ]
+        assert calls["for_agent"] == 0
+        assert calls["contains"] <= 2 * n
+        for rule in rules[::2]:
+            service.set_rule_enabled(rule.rule_id, False)
+        for rule in rules[1::2]:
+            service.remove_rule(rule.rule_id)
+        for rule in rules[::2]:
+            service.set_rule_enabled(rule.rule_id, True)
+        assert calls["for_agent"] == 0
+        assert calls["contains"] <= 2 * (n + n // 2 + n)
+        assert agent.rules == service.rules.for_agent("a") == rules[::2]
+        assert len(agent.rule_index) == n // 2
