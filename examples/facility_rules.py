@@ -9,14 +9,14 @@ facility would deploy them:
 * a **facility relay** merging both event streams into one;
 * rules written in the **WHEN/THEN DSL** (the way users would actually
   configure them) driving a Ripple agent fed from the merged stream;
-* a **MonitorClient** answering operator questions from the relay's
-  historic catalog.
+* a **ClusterClient** answering operator questions from the relay's
+  historic catalog (the relay is a one-shard cluster).
 
 Run:  python examples/facility_rules.py
 """
 
+from repro.cluster import ClusterClient
 from repro.core import LustreMonitor, MonitorConfig
-from repro.core.client import MonitorClient
 from repro.core.consumer import Consumer
 from repro.core.relay import facility_relay
 from repro.lustre import LustreFilesystem
@@ -86,13 +86,12 @@ def main() -> None:
     assert "core.8841" not in scratch.listdir("/jobs")
 
     # --- operator queries over the merged history -------------------------
-    client = MonitorClient(relay.context, relay.config)
-    client.api_server = relay
+    client = ClusterClient.for_aggregator(relay.context, relay)
     summary = client.activity_summary("/")
     print("facility activity summary:", summary)
     jobs = [
         event.jobid
-        for _seq, event in client.query(path_prefix="/jobs")
+        for _shard, _seq, event in client.query(path_prefix="/jobs")
         if event.jobid
     ]
     print("job ids seen under /jobs:", sorted(set(jobs)))

@@ -14,6 +14,7 @@ Demonstrates the reliability mechanisms the paper describes:
 Run:  python examples/monitor_fault_tolerance.py
 """
 
+from repro.cluster import ClusterClient
 from repro.core import LustreMonitor
 from repro.lustre import LustreFilesystem
 from repro.ripple import Action, RippleAgent, RippleService, Trigger
@@ -52,7 +53,7 @@ def demo_consumer_catch_up() -> None:
         lambda seq, ev: late_events.append(seq), name="late-joiner"
     )
     assert not late_events, "slow joiner misses the live stream"
-    missed = consumer.catch_up(api_server=monitor.shard_handles["shard0"])
+    missed = ClusterClient.for_cluster(monitor).catch_up(consumer)
     print(f"   late joiner recovered {missed} events via the historic API")
     assert missed == 10
     monitor.shutdown()

@@ -202,12 +202,8 @@ def cmd_health_demo(args: argparse.Namespace) -> int:
 
 def cmd_metrics_demo(args: argparse.Namespace) -> int:
     """Run the sim pipeline and print per-stage latency percentiles."""
-    from repro.core import (
-        AggregatorConfig,
-        LustreMonitor,
-        MonitorClient,
-        MonitorConfig,
-    )
+    from repro.cluster import ClusterClient
+    from repro.core import AggregatorConfig, LustreMonitor, MonitorConfig
     from repro.lustre import LustreFilesystem
 
     # Default wall clock: event timestamps and tracer stamps share a
@@ -250,7 +246,7 @@ def cmd_metrics_demo(args: argparse.Namespace) -> int:
                 f"{summary['max']:10.6f}"
             )
         if args.prometheus:
-            client = MonitorClient.for_monitor(monitor)
+            client = ClusterClient.for_cluster(monitor)
             print("\n== prometheus exposition ==")
             print(client.metrics()["prometheus"], end="")
             client.close()

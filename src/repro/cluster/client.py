@@ -1,8 +1,11 @@
-"""ClusterClient: scatter-gather queries over the per-shard REP APIs.
+"""ClusterClient: the one client of the historic-event REQ/REP API.
 
-Each shard answers its own historic-event API exactly as a
-single-aggregator monitor would; this client fans a query out to every
-shard and reassembles one logical answer:
+Each shard answers its own historic-event API; this client holds one
+REQ socket per shard, fans a query out to every shard and reassembles
+one logical answer.  A one-shard monitor, a standalone
+:class:`~repro.core.aggregator.Aggregator` and a
+:class:`~repro.core.relay.RelayAggregator` are each a one-shard
+cluster (:meth:`ClusterClient.for_aggregator`):
 
 * ``events_since``/``query`` return ``(shard, seq, event)`` triples
   merged into the cluster's **total order** — shards in membership
@@ -15,11 +18,13 @@ shard and reassembles one logical answer:
 * ``stats`` sums every numeric counter across the per-shard registry
   snapshots (the per-shard answers ride along unsummed).
 * ``catch_up`` pages every shard's ``since`` API from the consumer's
-  per-shard watermark — the cluster-wide recovery primitive.
+  per-shard watermark — the recovery primitive for a consumer that
+  missed live messages.
 
-Built purely from :class:`~repro.core.client.MonitorClient` instances,
-one per shard, so deterministic (pumped) and live (API-thread) modes
-both work unchanged.
+Two modes: *live* requests are answered by the shards' running API
+workers; *pumped* requests (an unstarted system, deterministic tests)
+are answered on the caller's thread, which calls the shard's
+``serve_api_once`` until the reply is set.
 
 **Opaque cursors.**  Callers used to hold per-shard watermark dicts to
 resume paging; now the per-shard state travels as one *opaque cursor*
@@ -47,10 +52,13 @@ import base64
 import functools
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Mapping, Optional, Union
 
-from repro.core.client import MonitorClient
+from repro.core.aggregator import AggregatorConfig
 from repro.core.events import EventType, FileEvent
+from repro.msgq import Transport
 
 __all__ = [
     "AsyncClusterClient",
@@ -60,23 +68,34 @@ __all__ = [
     "encode_cursor",
 ]
 
+#: A shard id: the shard's label, or ``None`` for an unlabelled
+#: (standalone or relay) aggregator — the key its consumers' watermark
+#: has.
+ShardId = Optional[str]
+
 #: A cluster cursor: either one seq applied to every shard, or an
 #: explicit per-shard mapping (missing shards default to 0).
-Cursors = Union[int, dict[str, int]]
+Cursors = Union[int, dict[ShardId, int]]
+
+#: The unlabelled shard's name inside a cursor (JSON keys are strings).
+_UNLABELLED = "-"
 
 
-def encode_cursor(watermarks: Mapping[str, int]) -> str:
+def encode_cursor(watermarks: Mapping[ShardId, int]) -> str:
     """Pack per-shard watermarks into one opaque resumable token."""
+    named = {
+        _UNLABELLED if shard is None else shard: int(seq)
+        for shard, seq in watermarks.items()
+    }
     payload = json.dumps(
-        {shard: int(seq) for shard, seq in sorted(watermarks.items())},
-        separators=(",", ":"),
+        dict(sorted(named.items())), separators=(",", ":")
     ).encode("ascii")
     return base64.urlsafe_b64encode(payload).decode("ascii").rstrip("=")
 
 
 def decode_cursor(
-    token: Optional[str], shard_ids: Optional[tuple[str, ...]] = None
-) -> dict[str, int]:
+    token: Optional[str], shard_ids: Optional[tuple[ShardId, ...]] = None
+) -> dict[ShardId, int]:
     """Unpack an opaque cursor back into per-shard watermarks.
 
     ``None``/empty means "from the beginning" ({}).  Raises
@@ -93,16 +112,16 @@ def decode_cursor(
         raise ValueError(f"malformed cursor {token!r}") from None
     if not isinstance(data, dict):
         raise ValueError(f"malformed cursor {token!r}")
-    watermarks: dict[str, int] = {}
+    watermarks: dict[ShardId, int] = {}
     for shard, seq in data.items():
-        if not isinstance(shard, str) or not isinstance(seq, int) or seq < 0:
+        if not isinstance(seq, int) or seq < 0:
             raise ValueError(f"malformed cursor {token!r}")
-        watermarks[shard] = seq
+        watermarks[None if shard == _UNLABELLED else shard] = seq
     if shard_ids is not None:
         unknown = set(watermarks) - set(shard_ids)
         if unknown:
             raise ValueError(
-                f"cursor names unknown shard(s) {sorted(unknown)}"
+                f"cursor names unknown shard(s) {sorted(map(str, unknown))}"
             )
     return watermarks
 
@@ -116,7 +135,7 @@ class ClusterPage:
     at request time (a False may still be followed by an empty page).
     """
 
-    entries: tuple[tuple[str, int, FileEvent], ...]
+    entries: tuple[tuple[ShardId, int, FileEvent], ...]
     cursor: str
     exhausted: bool
 
@@ -132,15 +151,36 @@ class ClusterPage:
 
 
 class ClusterClient:
-    """Query-only, scatter-gather access to a sharded cluster."""
+    """Query-only, scatter-gather access to a cluster's historic API."""
 
-    def __init__(self, clients: dict[str, MonitorClient]) -> None:
-        if not clients:
+    def __init__(
+        self,
+        context: Transport,
+        configs: Mapping[ShardId, AggregatorConfig],
+        timeout: float = 5.0,
+        servers: Optional[Mapping[ShardId, Any]] = None,
+    ) -> None:
+        """One REQ socket per shard of *configs*, in membership order
+        (the order that defines the merged total order).
+
+        *servers* maps a shard to what answers its API when nothing
+        runs it — an Aggregator or a multiproc ProcessShardBridge,
+        anything with ``serve_api_once(timeout)``; that shard's
+        requests are then pumped on the caller's thread.
+        """
+        if not configs:
             raise ValueError("a ClusterClient needs at least one shard")
-        #: Per-shard clients in membership order — the order that
-        #: defines the merged total order.
-        self.clients = dict(clients)
-        self._order = {sid: i for i, sid in enumerate(self.clients)}
+        self.timeout = timeout
+        servers = servers or {}
+        #: shard id -> (REQ socket, inline server step or None).
+        self._shards = {
+            shard_id: (
+                context.req().connect(config.api_endpoint),
+                getattr(servers.get(shard_id), "serve_api_once", None),
+            )
+            for shard_id, config in configs.items()
+        }
+        self._order = {sid: i for i, sid in enumerate(self._shards)}
 
     @classmethod
     def for_cluster(
@@ -148,37 +188,43 @@ class ClusterClient:
     ) -> "ClusterClient":
         """Build a client over every shard of a LustreMonitor.
 
-        Deterministic mode (the default) pumps each shard's API inline
-        per request; ``live=True`` instead issues real REQ/REP requests
-        answered by the shards' running API threads — required when a
-        service (the gateway) queries a *started* cluster, where inline
-        pumping would race the shard's own worker.
+        Pumped mode (the default) answers each request inline on the
+        caller's thread; ``live=True`` instead issues real REQ/REP
+        requests answered by the shards' running API workers — required
+        when a service (the gateway) queries a *started* cluster, where
+        inline pumping would race the shard's own worker.
         """
-        if live:
-            return cls(
-                {
-                    shard_id: MonitorClient(
-                        cluster.context, config, timeout=timeout
-                    )
-                    for shard_id, config in cluster.shard_configs.items()
-                }
-            )
+        servers = None if live else cluster.shard_handles
+        return cls(cluster.context, cluster.shard_configs, timeout, servers)
+
+    @classmethod
+    def for_aggregator(
+        cls, context: Transport, aggregator: Any, timeout: float = 5.0
+    ) -> "ClusterClient":
+        """A pumped one-shard client over one aggregator, relay or
+        process-shard bridge, keyed on its ``shard_label`` (``None``
+        for an unlabelled aggregator)."""
+        label = aggregator.config.shard_label
         return cls(
-            {
-                shard_id: MonitorClient.for_aggregator(
-                    cluster.context, shard, timeout=timeout
-                )
-                for shard_id, shard in cluster.shard_handles.items()
-            }
+            context, {label: aggregator.config}, timeout, {label: aggregator}
         )
 
     @property
-    def shard_ids(self) -> tuple[str, ...]:
-        return tuple(self.clients)
+    def shard_ids(self) -> tuple[ShardId, ...]:
+        return tuple(self._shards)
+
+    def _ask(self, shard_id: ShardId, request: dict[str, Any]) -> Any:
+        socket, serve = self._shards[shard_id]
+        return socket.request(request, self.timeout, serve)
+
+    def _ask_all(self, request: dict[str, Any]) -> dict[ShardId, Any]:
+        return {
+            shard_id: self._ask(shard_id, request) for shard_id in self._shards
+        }
 
     def _merge(
-        self, per_shard: dict[str, list[tuple[int, FileEvent]]]
-    ) -> list[tuple[str, int, FileEvent]]:
+        self, per_shard: dict[ShardId, list[tuple[int, FileEvent]]]
+    ) -> list[tuple[ShardId, int, FileEvent]]:
         """Flatten per-shard pages into the (shard, seq) total order."""
         merged = [
             (shard_id, seq, event)
@@ -190,20 +236,10 @@ class ClusterClient:
 
     # -- cursors -----------------------------------------------------------
 
-    def _cursor(self, cursors: Cursors, shard_id: str) -> int:
-        if isinstance(cursors, dict):
-            return cursors.get(shard_id, 0)
-        return cursors
-
-    def last_seq(self) -> dict[str, int]:
+    def last_seq(self) -> dict[ShardId, int]:
         """Each shard's highest stored sequence number — the cluster
         cursor to resume :meth:`events_since` from."""
-        return {
-            shard_id: client.last_seq()
-            for shard_id, client in self.clients.items()
-        }
-
-    # -- queries -----------------------------------------------------------
+        return self._ask_all({"op": "last_seq"})
 
     def head_cursor(self) -> str:
         """The opaque cursor at the current cluster head — resume from
@@ -213,8 +249,10 @@ class ClusterClient:
     def cursor_for(self, consumer) -> str:
         """A consumer's per-shard watermarks as an opaque cursor."""
         return encode_cursor(
-            {shard_id: consumer.watermark(shard_id) for shard_id in self.clients}
+            {shard_id: consumer.watermark(shard_id) for shard_id in self._shards}
         )
+
+    # -- queries -----------------------------------------------------------
 
     def page(
         self, cursor: Optional[str] = None, limit: int = 1024
@@ -231,33 +269,34 @@ class ClusterClient:
             raise ValueError(f"limit must be >= 1: {limit}")
         resumed = decode_cursor(cursor, self.shard_ids)
         watermarks = {
-            shard_id: resumed.get(shard_id, 0) for shard_id in self.clients
+            shard_id: resumed.get(shard_id, 0) for shard_id in self._shards
         }
-        out: list[tuple[str, int, FileEvent]] = []
+        out: list[tuple[ShardId, int, FileEvent]] = []
         exhausted = True
-        shard_list = list(self.clients.items())
-        for index, (shard_id, client) in enumerate(shard_list):
+        last = len(self._shards) - 1
+        for index, shard_id in enumerate(self._shards):
             drained = False
             while len(out) < limit and not drained:
                 need = limit - len(out)
-                chunk = client.events_since(watermarks[shard_id], limit=need)
+                chunk = self._ask(
+                    shard_id,
+                    {"op": "since", "seq": watermarks[shard_id], "limit": need},
+                )
                 for seq, event in chunk:
                     out.append((shard_id, seq, event))
                     watermarks[shard_id] = seq
                 drained = len(chunk) < need
             if len(out) >= limit:
-                exhausted = drained and index == len(shard_list) - 1
+                exhausted = drained and index == last
                 break
         return ClusterPage(tuple(out), encode_cursor(watermarks), exhausted)
 
     def events_since_all(
         self, cursor: Optional[str] = None, page_size: int = 1024
-    ) -> tuple[list[tuple[str, int, FileEvent]], str]:
+    ) -> tuple[list[tuple[ShardId, int, FileEvent]], str]:
         """Everything past *cursor* in bounded pages, plus the resume
-        token — the cluster analogue of
-        :meth:`MonitorClient.events_since_all`, minus the per-shard
-        bookkeeping callers used to carry themselves."""
-        collected: list[tuple[str, int, FileEvent]] = []
+        token."""
+        collected: list[tuple[ShardId, int, FileEvent]] = []
         while True:
             page = self.page(cursor, limit=page_size)
             collected.extend(page.entries)
@@ -267,23 +306,33 @@ class ClusterClient:
 
     def events_since(
         self, cursors: Cursors = 0, page_size: int = 1024
-    ) -> list[tuple[str, int, FileEvent]]:
+    ) -> list[tuple[ShardId, int, FileEvent]]:
         """Every event past the cursor on every shard, merged.
 
         *cursors* is one seq for all shards or a per-shard dict (the
         shape :meth:`last_seq` returns).  Each shard is paged with
         bounded requests, so no reply materialises a whole window.
         """
-        return self._merge(
-            {
-                shard_id: client.events_since_all(
-                    self._cursor(cursors, shard_id), page_size=page_size
+        if page_size < 1:
+            raise ValueError(f"page_size must be >= 1: {page_size}")
+        per_shard: dict[ShardId, list[tuple[int, FileEvent]]] = {}
+        for shard_id in self._shards:
+            seq = (
+                cursors.get(shard_id, 0) if isinstance(cursors, dict)
+                else cursors
+            )
+            collected = per_shard[shard_id] = []
+            while True:
+                chunk = self._ask(
+                    shard_id, {"op": "since", "seq": seq, "limit": page_size}
                 )
-                for shard_id, client in self.clients.items()
-            }
-        )
+                collected.extend(chunk)
+                if len(chunk) < page_size:
+                    break
+                seq = chunk[-1][0]
+        return self._merge(per_shard)
 
-    def recent(self, count: int) -> list[tuple[str, int, FileEvent]]:
+    def recent(self, count: int) -> list[tuple[ShardId, int, FileEvent]]:
         """The *count* newest events cluster-wide.
 
         Gathers each shard's own ``recent(count)`` tail (any shard
@@ -291,10 +340,13 @@ class ClusterClient:
         by event timestamp, and returns them in ``(shard, seq)``
         order.
         """
-        gathered = []
-        for shard_id, client in self.clients.items():
-            for seq, event in client.recent(count):
-                gathered.append((shard_id, seq, event))
+        gathered = [
+            (shard_id, seq, event)
+            for shard_id, tail in self._ask_all(
+                {"op": "recent", "count": count}
+            ).items()
+            for seq, event in tail
+        ]
         gathered.sort(
             key=lambda e: (e[2].timestamp, self._order[e[0]], e[1])
         )
@@ -309,23 +361,23 @@ class ClusterClient:
         since_time: Optional[float] = None,
         until_time: Optional[float] = None,
         limit: Optional[int] = None,
-    ) -> list[tuple[str, int, FileEvent]]:
+    ) -> list[tuple[ShardId, int, FileEvent]]:
         """Filtered retrieval scattered to every shard and merged.
 
         *limit* applies per shard at the store scan (bounding each
         reply) and again to the merged result.
         """
         merged = self._merge(
-            {
-                shard_id: client.query(
-                    path_prefix=path_prefix,
-                    event_type=event_type,
-                    since_time=since_time,
-                    until_time=until_time,
-                    limit=limit,
-                )
-                for shard_id, client in self.clients.items()
-            }
+            self._ask_all(
+                {
+                    "op": "query",
+                    "path_prefix": path_prefix,
+                    "event_type": event_type.value if event_type else None,
+                    "since_time": since_time,
+                    "until_time": until_time,
+                    "limit": limit,
+                }
+            )
         )
         return merged[:limit] if limit is not None else merged
 
@@ -347,10 +399,7 @@ class ClusterClient:
         non-numeric entries (the ``health`` record) stay per-shard
         only.
         """
-        per_shard = {
-            shard_id: client.stats()
-            for shard_id, client in self.clients.items()
-        }
+        per_shard = self._ask_all({"op": "stats"})
         totals: dict[str, Any] = {}
         for snapshot in per_shard.values():
             for name, value in snapshot.items():
@@ -364,12 +413,14 @@ class ClusterClient:
     def metrics(self) -> dict[str, Any]:
         """The cluster's metrics exposition.
 
-        Every shard shares one registry, so any shard's ``metrics``
-        answer already covers the whole tree — this asks the first
-        shard and returns its exposition verbatim.
+        ``result['prometheus']`` is the registry rendered in the
+        Prometheus text format; ``result['histograms']`` maps each
+        histogram name (``pipeline.collect`` …) to its
+        ``count/mean/max/p50/p95/p99`` summary.  Every shard shares one
+        registry, so the first shard's answer already covers the whole
+        tree and is returned verbatim.
         """
-        first = next(iter(self.clients.values()))
-        return first.metrics()
+        return self._ask(next(iter(self._shards)), {"op": "metrics"})
 
     # -- recovery ----------------------------------------------------------
 
@@ -383,23 +434,24 @@ class ClusterClient:
 
         Pages the cluster sequence through :meth:`page` — from
         *cursor* when given, else from the consumer's own per-shard
-        watermarks — delivering through the consumer's dedup with the
-        shard as the source; the cluster analogue of
-        :meth:`Consumer.catch_up`.  Returns the number of events
-        fetched (the consumer's watermarks decide what is new); the
-        resumable position afterwards is :meth:`cursor_for`, so a
-        caller restarting later needs the cursor string, not per-shard
-        state of its own.
+        watermarks — and delivers each shard's run of a page as one
+        batch through the consumer's dedup, with the shard as the
+        source.  Counts one catch-up on the consumer and returns the
+        number of events fetched (the consumer's watermarks decide
+        what is new); the resumable position afterwards is
+        :meth:`cursor_for`.
         """
+        consumer.metrics.counter("catch_ups").inc()
         if cursor is None:
             cursor = self.cursor_for(consumer)
         recovered = 0
         while True:
             page = self.page(cursor, limit=page_size)
-            for shard_id, seq, event in page.entries:
-                consumer.deliver(seq, event, source=shard_id)
+            for shard_id, run in groupby(page.entries, key=itemgetter(0)):
+                entries = [(seq, event) for _shard, seq, event in run]
+                consumer.deliver_entries(entries, shard_id)
                 # Advance over redeliveries too, so paging ends.
-                consumer.advance_watermark(shard_id, seq)
+                consumer.advance_watermark(shard_id, entries[-1][0])
             recovered += len(page)
             cursor = page.cursor
             if page.exhausted:
@@ -410,8 +462,8 @@ class ClusterClient:
         return AsyncClusterClient(self)
 
     def close(self) -> None:
-        for client in self.clients.values():
-            client.close()
+        for socket, _serve in self._shards.values():
+            socket.close()
 
 
 class AsyncClusterClient:

@@ -34,7 +34,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "EventType": ".events",
     "FileEvent": ".events",
     "ReportBatch": ".events",
-    "iter_entries": ".events",
     "iter_report": ".events",
     "EventProcessor": ".processor",
     "PathCache": ".processor",
@@ -46,7 +45,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "AggregatorConfig": ".aggregator",
     "Consumer": ".consumer",
     "DedupingConsumer": ".consumer",
-    "MonitorClient": ".client",
     "StorageMonitor": ".fsmonitor",
     "AdaptiveFlushController": ".adaptive",
     "FlushTuning": ".adaptive",
@@ -60,7 +58,6 @@ __all__ = [
     "FileEvent",
     "EventBatch",
     "ReportBatch",
-    "iter_entries",
     "iter_report",
     "EventType",
     "EventProcessor",
@@ -73,7 +70,6 @@ __all__ = [
     "AggregatorConfig",
     "Consumer",
     "DedupingConsumer",
-    "MonitorClient",
     "StorageMonitor",
     "RelayAggregator",
     "facility_relay",

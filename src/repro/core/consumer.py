@@ -1,9 +1,10 @@
-"""Consumers: subscribers to the Aggregator's live stream + historic API.
+"""Consumers: subscribers to the Aggregator's live stream.
 
 A consumer (e.g. a Ripple agent) subscribes to the Aggregator's PUB
 endpoint for the live stream and tracks the last sequence number it has
-seen.  After a disconnect (or on startup) it calls :meth:`catch_up`,
-which uses the historic-event API to fetch what it missed — the
+seen, per shard.  After a disconnect (or on startup) it is caught up
+through :meth:`repro.cluster.ClusterClient.catch_up`, which pages the
+historic-event API from those watermarks to fetch what it missed — the
 fault-tolerance mechanism the paper describes.
 
 Consumers are :class:`~repro.runtime.Service` instances: live mode runs
@@ -20,12 +21,12 @@ import logging
 from typing import Callable, Optional
 
 from repro.core.aggregator import AggregatorConfig
-from repro.core.events import FileEvent, iter_entries, prefix_probe
+from repro.core.events import FileEvent, prefix_probe
 from repro.errors import WouldBlock
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import Tracer, make_tracer
 from repro.msgq import Context
-from repro.runtime import Service, Wake, WorkerSpec, call_with_pump
+from repro.runtime import Service, Wake, WorkerSpec
 from repro.util.logging import get_logger
 
 EventCallback = Callable[[int, FileEvent], None]
@@ -116,7 +117,6 @@ class Consumer(Service):
             .connect(self.config.publish_endpoint)
             .subscribe(self.topic)
         )
-        self.api = context.req().connect(self.config.api_endpoint)
         self._wake = Wake()
         self.subscription.wakers.add(self._wake)
         #: High-water marks keyed by event *source* — the ``shard``
@@ -127,10 +127,6 @@ class Consumer(Service):
         #: shard's fresh events would compare below the fast shard's
         #: mark and be dropped as "duplicates".
         self.watermarks: dict[Optional[str], int] = {}
-        #: Historic-API page size used by :meth:`catch_up`: missed
-        #: events are fetched in bounded chunks so one request never
-        #: materialises the whole retained window.
-        self.catch_up_page = 1024
         # Counters (shared registry; property shims below).
         self._events_consumed = self.metrics.counter("events_consumed")
         self._duplicates_skipped = self.metrics.counter("duplicates_skipped")
@@ -176,7 +172,7 @@ class Consumer(Service):
 
     @property
     def batches_consumed(self) -> int:
-        """Live PUB messages received (batch or legacy single-event)."""
+        """Live PUB messages (event batches) received."""
         return self._batches_consumed.value
 
     def track_latency(self, clock=None) -> "Consumer":
@@ -197,9 +193,9 @@ class Consumer(Service):
 
     @property
     def last_seq(self) -> int:
-        """The watermark of the shard this consumer's ``api`` socket
-        addresses (``config.shard_label``; ``None`` for an unlabelled
-        aggregator) — the one :meth:`catch_up` pages from.
+        """The watermark of the shard this consumer subscribes to
+        (``config.shard_label``; ``None`` for an unlabelled
+        aggregator).
 
         Against a 1-shard monitor or one aggregator this is *the*
         watermark; consumers of several shards read :meth:`watermark`
@@ -226,8 +222,8 @@ class Consumer(Service):
                 source: Optional[str] = None) -> None:
         """Deliver one event through the watermark dedup.
 
-        Public entry point for external replay drivers (e.g. a cluster
-        scatter-gather catch-up feeding per-shard pages back in).
+        Public entry point for external replay drivers (e.g. entries
+        paged from ``ClusterClient.events_since_all`` fed back in).
         """
         self._deliver(seq, event, source)
 
@@ -314,9 +310,8 @@ class Consumer(Service):
         delivered.
 
         Messages are taken from the subscription queue drain-style (one
-        fabric operation for everything pending) and may be
-        :class:`~repro.core.events.EventBatch` batches or legacy
-        ``(seq, event)`` singles — the shim accepts both.
+        fabric operation for everything pending); each is an
+        :class:`~repro.core.events.EventBatch`.
         """
         delivered = 0
         while True:
@@ -328,9 +323,8 @@ class Consumer(Service):
                 break
             for _topic, payload in messages:
                 self._batches_consumed.inc()
-                entries = iter_entries(payload)
-                source = getattr(payload, "shard", None)
-                published_ts = getattr(payload, "published_ts", None)
+                entries = payload.entries
+                published_ts = payload.published_ts
                 if published_ts is not None and self.tracer.enabled:
                     self.tracer.record(
                         "deliver", self.tracer.now() - published_ts
@@ -345,60 +339,18 @@ class Consumer(Service):
                             "batch_events": len(entries),
                         },
                     )
-                self.deliver_entries(list(entries), source)
+                self.deliver_entries(list(entries), payload.shard)
                 delivered += len(entries)
             timeout = 0.0
         return delivered
-
-    def _request(self, request, api_server=None):
-        if api_server is None:
-            return self.api.request(request, timeout=5.0)
-        return call_with_pump(
-            lambda: self.api.request(request, timeout=5.0),
-            lambda: api_server.serve_api_once(timeout=0.05),
-        )
-
-    def catch_up(self, api_server=None,
-                 source: Optional[str] = None) -> int:
-        """Fetch events missed since the watermark via the historic API.
-
-        Pages through the ``since`` API in ``catch_up_page``-sized
-        requests — the indexed store makes every page O(page), so a
-        consumer far behind never forces one unbounded reply.  In live
-        mode the Aggregator's API thread answers; deterministic tests
-        pass the aggregator as *api_server* so requests are answered
-        synchronously (issued from a helper thread to keep REQ/REP
-        lock-step semantics intact).
-
-        *source* selects which watermark to page from and advance; it
-        defaults to the label of the shard this consumer's ``api``
-        socket points at (cluster-wide catch-up is
-        ``ClusterClient.catch_up``, which loops the shards).
-        """
-        if source is None:
-            source = self.config.shard_label
-        self._catch_ups.inc()
-        recovered = 0
-        while True:
-            request = {
-                "op": "since", "seq": self.watermark(source),
-                "limit": self.catch_up_page,
-            }
-            missed = self._request(request, api_server)
-            self.deliver_entries(list(missed), source)
-            for seq, _event in missed:
-                # Advance even over redeliveries so paging terminates.
-                self.advance_watermark(source, seq)
-            recovered += len(missed)
-            if len(missed) < self.catch_up_page:
-                return recovered
 
     @property
     def dropped(self) -> int:
         """Live messages dropped at this consumer's subscription queue.
 
-        A non-zero value means :meth:`catch_up` is needed — the exact
-        scenario the historic API exists for.
+        A non-zero value means a catch-up is needed
+        (``ClusterClient.catch_up``) — the exact scenario the historic
+        API exists for.
         """
         return self.subscription.dropped
 
@@ -413,7 +365,6 @@ class Consumer(Service):
     def on_close(self) -> None:
         self.subscription.wakers.remove(self._wake)
         self.subscription.close()
-        self.api.close()
 
 
 class DedupingConsumer(Consumer):

@@ -262,21 +262,6 @@ class EventBatch:
         return self.entries[-1][0] if self.entries else None
 
 
-def iter_entries(payload: Any) -> tuple[tuple[int, "FileEvent"], ...]:
-    """Normalise a published payload into ``(seq, event)`` entries.
-
-    The compatibility shim for the batch wire format: new publishers
-    send :class:`EventBatch` (optionally carrying stage timestamps);
-    pre-batching publishers sent a single ``(seq, event)`` tuple.
-    Subscribers call this instead of unpacking, so both generations of
-    publisher interoperate.
-    """
-    if isinstance(payload, EventBatch):
-        return payload.entries
-    seq, event = payload  # legacy single-event message
-    return ((seq, event),)
-
-
 @dataclass(frozen=True)
 class ReportBatch:
     """A traced collector→aggregator report — the PUSH wire format.

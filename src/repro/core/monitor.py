@@ -81,8 +81,6 @@ class MonitorConfig:
     report_timeout: float = 5.0
     #: How crashed pipeline services are restarted.
     restart_policy: RestartPolicy = field(default_factory=RestartPolicy)
-    #: How often the supervisor sweeps for crashed children (seconds).
-    supervise_interval: float = 0.01
     #: Transport backend: ``"inproc"`` (default) runs every shard as an
     #: in-process Aggregator; ``"multiproc"`` runs each shard's
     #: store+publish work in its own child process behind a
@@ -230,7 +228,6 @@ class LustreMonitor:
             "monitor",
             policy=self.config.restart_policy,
             registry=self.registry,
-            poll_interval=self.config.supervise_interval,
         )
         #: Per-shard aggregator configs (derived endpoints + label).
         self.shard_configs: dict[str, AggregatorConfig] = {}

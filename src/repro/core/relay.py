@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.aggregator import Aggregator, AggregatorConfig
-from repro.core.events import FileEvent, ReportBatch, iter_entries
+from repro.core.events import FileEvent, ReportBatch
 from repro.errors import WouldBlock
 from repro.msgq import Transport, make_transport
 
@@ -86,9 +86,7 @@ class RelayAggregator(Aggregator):
         Upstream messages are drained batch-wise (one fabric operation
         per subscription) and re-ingested as whole batches, so a relay
         preserves the upstream's batch amortisation instead of
-        dissolving it back into per-event work.  The
-        :func:`~repro.core.events.iter_entries` shim accepts both batch
-        and legacy single-event upstream publishers.
+        dissolving it back into per-event work.
 
         Tracing: a stamped upstream batch records the ``relay`` stage
         (upstream PUB send → relay re-ingest) and is re-ingested with
@@ -102,14 +100,14 @@ class RelayAggregator(Aggregator):
             except WouldBlock:
                 continue
             for _topic, payload in messages:
-                entries = iter_entries(payload)
+                entries = payload.entries
                 events = [event for _seq, event in entries]
-                published_ts = getattr(payload, "published_ts", None)
+                published_ts = payload.published_ts
                 if published_ts is not None and self.tracer.enabled:
                     self.tracer.record(
                         "relay", self.tracer.now() - published_ts
                     )
-                    collected_ts = getattr(payload, "collected_ts", None)
+                    collected_ts = payload.collected_ts
                     if collected_ts is not None:
                         events = ReportBatch(tuple(events), collected_ts)
                 self._handle_batch(events)

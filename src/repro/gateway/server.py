@@ -2,7 +2,7 @@
 
 The paper's end state is cyberinfrastructure *many users program
 against*; until now the monitor's API surface was in-process
-(``MonitorClient``/``ClusterClient``).  The gateway is the service
+(``ClusterClient``).  The gateway is the service
 tier in front of the cluster — one supervised
 :class:`~repro.runtime.Service` owning an asyncio event loop, speaking
 the minimal HTTP/1.1 + RFC-6455 vocabulary in

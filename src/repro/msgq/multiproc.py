@@ -642,11 +642,16 @@ class ProcessShardBridge(Service):
             return work
 
     def serve_api_once(self, timeout: float = 0.0) -> bool:
-        """Pump until the bridge settles one step (MonitorClient's
-        deterministic ``call_with_pump`` driver calls this)."""
+        """One pump step for a caller that answers the API itself (a
+        pumped ``ClusterClient`` request on an unstarted bridge).
+
+        A step that moved nothing waits up to *timeout* for the child's
+        next frame (or its death), so the reply is handled by the very
+        next step.
+        """
         work = self.pump_once()
         if work == 0 and timeout > 0:
-            time.sleep(min(timeout, 0.005))
+            self._wait_child(timeout)
         return work > 0
 
     # -- service runtime ----------------------------------------------------

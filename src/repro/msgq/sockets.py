@@ -750,6 +750,11 @@ class _ReplyChannel:
         self._event = threading.Event()
         self._value: Any = None
 
+    @property
+    def ready(self) -> bool:
+        """True once the reply has been sent."""
+        return self._event.is_set()
+
     def send(self, value: Any) -> None:
         if self._event.is_set():
             raise MessagingError("reply channel already used")
@@ -779,7 +784,12 @@ class ReqSocket(Socket):
         self._server = server
         return self
 
-    def request(self, payload: Any, timeout: Optional[float] = None) -> Any:
+    def request(
+        self,
+        payload: Any,
+        timeout: Optional[float] = None,
+        serve: Optional[Callable[[float], Any]] = None,
+    ) -> Any:
         """Send *payload* and block for the reply.
 
         Raises the reply if the server handler raised an exception,
@@ -787,6 +797,11 @@ class ReqSocket(Socket):
         :class:`WouldBlock` if the server's request queue stays full
         past the timeout (instead of blocking forever against a wedged
         server).
+
+        *serve* is for a caller that answers the REP side itself (an
+        unstarted server): it is called on this thread with the time
+        left, over and over, until the reply is set or the timeout
+        passes.
         """
         self._check_open()
         if self._server is None:
@@ -797,6 +812,14 @@ class ReqSocket(Socket):
         channel = _ReplyChannel()
         if not self._server._requests.put((payload, channel), timeout=effective):
             raise WouldBlock("server request queue full (send timed out)")
+        if serve is not None:
+            deadline = None if effective is None else time.monotonic() + effective
+            while not channel.ready:
+                left = 1.0 if deadline is None else deadline - time.monotonic()
+                if left <= 0:
+                    break
+                serve(left)
+            effective = 0
         reply = channel.wait(effective)
         if isinstance(reply, Exception):
             raise reply

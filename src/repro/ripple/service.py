@@ -55,8 +55,6 @@ class ServiceConfig:
     cleanup_period: float = 10.0
     #: How crashed cloud-side services are restarted.
     restart_policy: RestartPolicy = field(default_factory=RestartPolicy)
-    #: How often the supervisor sweeps for crashed children (seconds).
-    supervise_interval: float = 0.01
 
 
 class RippleService:
@@ -84,7 +82,6 @@ class RippleService:
             "ripple",
             policy=self.config.restart_policy,
             registry=self.registry,
-            poll_interval=self.config.supervise_interval,
         )
         self.executor = ServerlessExecutor(
             self.event_queue,

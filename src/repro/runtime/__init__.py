@@ -13,8 +13,6 @@ runs on this runtime instead of hand-rolled daemon-thread loops:
   (:mod:`repro.runtime.scheduler`).
 * :class:`Supervisor` — dependency-ordered start / reverse-order stop
   of child services, plus crash restart under a :class:`RestartPolicy`.
-* :func:`call_with_pump` — the deterministic REQ/REP helper used to
-  serve an inline API while a blocking request is in flight.
 """
 
 from repro.runtime.service import (
@@ -22,7 +20,6 @@ from repro.runtime.service import (
     ServiceCrash,
     ServiceState,
     WorkerSpec,
-    call_with_pump,
 )
 from repro.runtime.scheduler import Wake
 from repro.runtime.supervisor import RestartPolicy, Supervisor
@@ -35,5 +32,4 @@ __all__ = [
     "Wake",
     "RestartPolicy",
     "Supervisor",
-    "call_with_pump",
 ]

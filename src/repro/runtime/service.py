@@ -22,8 +22,9 @@ one lifecycle:
   step blocks in the OS — on its own socket or pipe, with a timeout —
   runs back to back on a thread of its own (``interval=0``).
 * **Crash detection** — an exception escaping a step marks the service
-  ``CRASHED`` and records the error; a :class:`~repro.runtime.Supervisor`
-  notices and applies its restart policy.
+  ``CRASHED``, records the error and rings the supervisor's wake (if a
+  :class:`~repro.runtime.Supervisor` adopted the service), which
+  applies its restart policy.
 * **Uniform stats/health** — every service registers its counters in a
   shared :class:`~repro.metrics.MetricsRegistry` scope and answers
   :meth:`stats`/:meth:`health` the same way.
@@ -139,6 +140,8 @@ class Service:
         self.restart_count = 0
         #: The exception that crashed the service (if any).
         self.last_error: Optional[BaseException] = None
+        #: Rung on every crash: the adopting supervisor's wake.
+        self._crash_wake: Optional[Wake] = None
         #: Woken steps that found no work: the re-check after every
         #: step that did work, and rings whose work an earlier step
         #: took first.
@@ -279,34 +282,5 @@ class Service:
         self._service_log.warning(
             "worker %s crashed: %s: %s", spec.name, type(exc).__name__, exc
         )
-
-
-def call_with_pump(
-    call: Callable[[], Any],
-    pump: Callable[[], Any],
-    join_interval: float = 0.001,
-) -> Any:
-    """Run *call* in a helper thread while *pump* serves it inline.
-
-    The deterministic REQ/REP pattern: a client issues a blocking
-    request from a helper thread while the caller pumps the server's
-    ``serve_*_once`` loop until the reply lands.  Exceptions from *call*
-    propagate to the caller.
-    """
-    box: list[Any] = []
-    error: list[BaseException] = []
-
-    def _ask() -> None:
-        try:
-            box.append(call())
-        except BaseException as exc:  # re-raised below
-            error.append(exc)
-
-    asker = threading.Thread(target=_ask, name="call-with-pump", daemon=True)
-    asker.start()
-    while asker.is_alive():
-        pump()
-        asker.join(timeout=join_interval)
-    if error:
-        raise error[0]
-    return box[0]
+        if self._crash_wake is not None:
+            self._crash_wake.set()

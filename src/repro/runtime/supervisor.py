@@ -9,9 +9,11 @@ services and provides:
   must start after (``add_child(svc, after=[...])``); start order is a
   stable topological sort, stop order is its exact reverse, so a
   pipeline stops producers before the stages that drain them;
-* **crash detection and restart** — a periodic supervise loop notices
-  children in the ``CRASHED`` state and restarts them under a
-  :class:`RestartPolicy` (exponential backoff, bounded attempts), so a
+* **crash detection and restart** — a child's crash rings the
+  supervisor's woken supervise step, which restarts children in the
+  ``CRASHED`` state under a :class:`RestartPolicy` (exponential
+  backoff, bounded attempts; a pending backoff rings the step again
+  when it expires), so a
   collector that dies mid-poll is restarted instead of silently wedging
   the pipeline.  Report-before-purge semantics in the stages make such
   restarts at-least-once: nothing acknowledged is lost;
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.metrics.registry import MetricsRegistry
+from repro.runtime.scheduler import Wake
 from repro.runtime.service import Service, ServiceState, WorkerSpec
 from repro.util.logging import get_logger
 
@@ -77,11 +80,11 @@ class Supervisor(Service):
         name: str = "supervisor",
         policy: Optional[RestartPolicy] = None,
         registry: Optional[MetricsRegistry] = None,
-        poll_interval: float = 0.01,
     ) -> None:
         super().__init__(name, registry)
         self.policy = policy or RestartPolicy()
-        self.poll_interval = poll_interval
+        #: Rung by every child's crash and by expiring restart backoffs.
+        self._wake = Wake()
         self._children: Dict[str, _ChildRecord] = {}
         self._log = get_logger(f"runtime.supervisor.{name}")
 
@@ -118,6 +121,7 @@ class Supervisor(Service):
                 suffix += 1
             child_key = f"{child_key}#{suffix}"
         self._children[child_key] = _ChildRecord(service, deps)
+        service._crash_wake = self._wake
         for successor in successors:
             self._children[successor].after.append(child_key)
         if self.running:
@@ -170,11 +174,7 @@ class Supervisor(Service):
     # -- lifecycle ----------------------------------------------------------
 
     def worker_specs(self) -> list[WorkerSpec]:
-        return [
-            WorkerSpec(
-                "supervise", self.supervise_once, interval=self.poll_interval
-            )
-        ]
+        return [WorkerSpec("supervise", self.supervise_once, wake=self._wake)]
 
     def on_start(self) -> None:
         for key in self._start_order():
@@ -193,9 +193,11 @@ class Supervisor(Service):
     def supervise_once(self, now: Optional[float] = None) -> int:
         """One supervision sweep; returns the number of restarts issued.
 
-        Called periodically by the supervise worker in live mode;
-        deterministic tests call it directly (optionally with a fake
-        *now* to step through backoff windows).
+        Run by the woken supervise worker in live mode, which a child's
+        crash rings; a restart still waiting out its backoff rings it
+        again when the backoff expires.  Deterministic tests call it
+        directly (optionally with a fake *now* to step through backoff
+        windows).
         """
         now = time.monotonic() if now is None else now
         restarted = 0
@@ -214,6 +216,7 @@ class Supervisor(Service):
                     continue
                 record.next_attempt_at = now + self.policy.delay(record.attempts)
             if now < record.next_attempt_at:
+                self._wake.ring_after(record.next_attempt_at - now)
                 continue
             record.next_attempt_at = None
             record.attempts += 1

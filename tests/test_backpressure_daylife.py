@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cluster import ClusterClient
 from repro.core import (
     AggregatorConfig,
     CollectorConfig,
@@ -77,7 +78,7 @@ class TestBackpressure:
         monitor.shard_handles["shard0"].pump_once()
         slow.poll_once()
         assert slow.dropped == 47
-        slow.catch_up(api_server=monitor.shard_handles["shard0"])
+        ClusterClient.for_cluster(monitor).catch_up(slow)
         assert seen == list(range(1, 51))
 
 

@@ -11,8 +11,8 @@ Covers the four bug fixes that rode along with end-to-end batching:
 4. ``EventStore.extend`` is atomic: one lock acquisition, contiguous
    sequence numbers per batch even under concurrent extenders.
 
-Plus the tentpole properties: the batch wire format (EventBatch + the
-legacy single-event shim), the indexed ``since`` scan, the flush
+Plus the tentpole properties: the batch wire format (EventBatch), the
+indexed ``since`` scan, the flush
 policies, and a hypothesis property that batched and per-event ingest
 produce identical store contents and publish order.
 """
@@ -28,7 +28,6 @@ from repro.core import (
     Consumer,
     EventBatch,
     EventStore,
-    iter_entries,
 )
 from repro.core.events import EventType, FileEvent, approx_wire_bytes
 from repro.errors import MessagingError, WouldBlock
@@ -256,34 +255,32 @@ class TestServeApiOnce:
 
 
 class TestWireFormat:
-    def test_iter_entries_on_batch(self):
+    def test_event_batch_entries(self):
         event = make_event("/a/f")
         batch = EventBatch(((1, event), (2, event)))
-        assert iter_entries(batch) == ((1, event), (2, event))
+        assert batch.entries == ((1, event), (2, event))
         assert len(batch) == 2
         assert batch.first_seq == 1
         assert batch.last_seq == 2
 
-    def test_iter_entries_on_legacy_single(self):
-        event = make_event("/a/f")
-        assert iter_entries((7, event)) == ((7, event),)
-
-    def test_consumer_accepts_legacy_single_event_messages(self):
+    def test_consumer_reads_batches_from_a_second_publisher(self):
         context = Context()
         config = AggregatorConfig(
-            inbound_endpoint="inproc://legacy-in",
-            publish_endpoint="inproc://legacy-pub",
-            api_endpoint="inproc://legacy-rep",
+            inbound_endpoint="inproc://second-in",
+            publish_endpoint="inproc://second-pub",
+            api_endpoint="inproc://second-rep",
         )
         Aggregator(context, config)  # binds endpoints the consumer needs
         seen = []
         consumer = Consumer(
             context, lambda seq, ev: seen.append(seq), config=config
         )
-        publisher = context.pub().bind("inproc://legacy-pub2")
-        # Simulate an old publisher on the consumer's subscription.
-        consumer.subscription.connect("inproc://legacy-pub2")
-        publisher.send(config.publish_topic, (1, make_event("/a/f")))
+        publisher = context.pub().bind("inproc://second-pub2")
+        # A second publisher on the consumer's subscription.
+        consumer.subscription.connect("inproc://second-pub2")
+        publisher.send(
+            config.publish_topic, EventBatch(((1, make_event("/a/f")),))
+        )
         publisher.send(
             config.publish_topic,
             EventBatch(((2, make_event("/a/g")), (3, make_event("/a/h")))),
@@ -316,7 +313,7 @@ class TestWireFormat:
         assert aggregator.batches_published == 3
         messages = subscriber.recv_many(block=False)
         assert [
-            (topic, [seq for seq, _ in iter_entries(payload)])
+            (topic, [seq for seq, _ in payload.entries])
             for topic, payload in messages
         ] == [
             ("events./projects", [1]),
@@ -364,9 +361,9 @@ class TestWireFormat:
         )
         aggregator._handle_batch([make_event(f"/a/f{i}") for i in range(10)])
         messages = subscriber.recv_many(block=False)
-        assert [len(iter_entries(p)) for _t, p in messages] == [4, 4, 2]
+        assert [len(p.entries) for _t, p in messages] == [4, 4, 2]
         # Order is preserved across chunks.
-        seqs = [s for _t, p in messages for s, _e in iter_entries(p)]
+        seqs = [s for _t, p in messages for s, _e in p.entries]
         assert seqs == list(range(1, 11))
 
     def test_byte_flush_policy(self):
@@ -385,7 +382,7 @@ class TestWireFormat:
         )
         aggregator._handle_batch(events)
         messages = subscriber.recv_many(block=False)
-        assert [len(iter_entries(p)) for _t, p in messages] == [2, 2, 2]
+        assert [len(p.entries) for _t, p in messages] == [2, 2, 2]
 
     def test_config_rejects_negative_flush_knobs(self):
         with pytest.raises(ValueError):
@@ -534,7 +531,7 @@ def published_entries(subscriber):
         except WouldBlock:
             return global_order, per_topic
         for topic, payload in messages:
-            seqs = [seq for seq, _event in iter_entries(payload)]
+            seqs = [seq for seq, _event in payload.entries]
             global_order.extend(seqs)
             per_topic.setdefault(topic, []).extend(seqs)
 

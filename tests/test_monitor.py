@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cluster import ClusterClient
 from repro.core import (
     AggregatorConfig,
     CollectorConfig,
@@ -105,7 +106,7 @@ class TestHistoricApi:
         monitor.drain()
         late = []
         consumer = monitor.subscribe(lambda seq, ev: late.append(seq), name="late")
-        assert consumer.catch_up(api_server=monitor.shard_handles["shard0"]) == 10
+        assert ClusterClient.for_cluster(monitor).catch_up(consumer) == 10
         assert late == list(range(1, 11))
 
     def test_catch_up_then_live_without_duplicates(self):
@@ -114,7 +115,7 @@ class TestHistoricApi:
         monitor.drain()
         seen = []
         consumer = monitor.subscribe(lambda seq, ev: seen.append(seq))
-        consumer.catch_up(api_server=monitor.shard_handles["shard0"])
+        ClusterClient.for_cluster(monitor).catch_up(consumer)
         fs.create("/proj/data/later")
         monitor.drain()
         assert seen == [1, 2]
@@ -143,7 +144,7 @@ class TestHistoricApi:
         # Only 5 fit in the subscription queue; the rest were dropped.
         consumer.poll_once()
         assert consumer.dropped > 0
-        recovered = consumer.catch_up(api_server=monitor.shard_handles["shard0"])
+        recovered = ClusterClient.for_cluster(monitor).catch_up(consumer)
         assert recovered > 0
         assert seen == list(range(1, 21))
 

@@ -12,6 +12,7 @@ and resurrect each one:
 
 import pytest
 
+from repro.cluster import ClusterClient
 from repro.core import (
     Aggregator,
     AggregatorConfig,
@@ -109,7 +110,7 @@ class TestAggregatorRestart:
         seen = []
         consumer = Consumer(context, lambda seq, ev: seen.append(seq))
         consumer.last_seq = 6
-        consumer.catch_up(api_server=restored)
+        ClusterClient.for_aggregator(context, restored).catch_up(consumer)
         assert seen == [7, 8, 9, 10]
 
     def test_sequence_numbers_continue_after_restart(self, tmp_path):
@@ -159,7 +160,7 @@ class TestConsumerRestart:
             lambda seq, ev: second_life.append(seq), name="reborn"
         )
         replacement.last_seq = checkpoint  # restored from its own state
-        replacement.catch_up(api_server=monitor.shard_handles["shard0"])
+        ClusterClient.for_cluster(monitor).catch_up(replacement)
         assert second_life == [2, 3]
         # And the live stream continues without gaps or duplicates.
         fs.create("/d/d")

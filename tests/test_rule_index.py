@@ -17,6 +17,7 @@ import fnmatch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.cluster import ClusterClient
 from repro.core import Aggregator, AggregatorConfig, Consumer
 from repro.core.events import EventType, FileEvent
 from repro.msgq import Context
@@ -669,7 +670,8 @@ class TestConsumerBatchDelivery:
         )
         aggregator._handle_batch([make_event("/drop/a"), make_event("/keep/b")])
         consumer.poll_once()
-        assert consumer.catch_up(api_server=aggregator) == 0
+        client = ClusterClient.for_aggregator(aggregator.context, aggregator)
+        assert client.catch_up(consumer) == 0
         assert seen == ["/keep/b"]
 
 

@@ -56,6 +56,24 @@ class Ticker(Service):
         self.closed_hooks += 1
 
 
+class CrashOnDemand(Service):
+    """An idle service whose next step crashes once when asked."""
+
+    def __init__(self, name="on-demand"):
+        super().__init__(name)
+        self.crash_next = False
+        self.wake = Wake()
+
+    def step(self):
+        if self.crash_next:
+            self.crash_next = False
+            raise ServiceCrash("injected")
+        return 0
+
+    def worker_specs(self):
+        return [WorkerSpec("step", self.step, wake=self.wake)]
+
+
 def wait_for(predicate, timeout=5.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
@@ -334,7 +352,7 @@ class TestSupervisor:
 
     def test_live_supervision_restarts_crashed_child(self):
         policy = RestartPolicy(max_restarts=5, backoff_base=0.001)
-        supervisor = Supervisor("sup", policy=policy, poll_interval=0.005)
+        supervisor = Supervisor("sup", policy=policy)
         child = Ticker("flaky", fail_after=1)
         supervisor.add_child(child)
         supervisor.start()
@@ -342,6 +360,30 @@ class TestSupervisor:
             assert wait_for(lambda: child.crashed)
             child.fail_after = None
             assert wait_for(lambda: child.running and child.restart_count >= 1)
+        finally:
+            supervisor.close()
+
+    def test_supervisor_sweeps_only_when_a_crash_or_backoff_rings(self):
+        supervisor = Supervisor(
+            "sup-woken", policy=RestartPolicy(backoff_base=0.05)
+        )
+        child = CrashOnDemand()
+        supervisor.add_child(child)
+        sweeps = []
+        sweep = supervisor.supervise_once
+        supervisor.supervise_once = lambda: (sweeps.append(1), sweep())[1]
+        supervisor.start()
+        try:
+            time.sleep(0.2)
+            idle_sweeps = len(sweeps)
+            assert idle_sweeps <= 1  # the step every start runs
+            child.crash_next = True
+            child.wake.set()
+            # The crash rings a sweep; the pending backoff rings the
+            # restart.
+            assert wait_for(lambda: child.restart_count == 1 and child.running)
+            time.sleep(0.1)
+            assert len(sweeps) - idle_sweeps <= 4
         finally:
             supervisor.close()
 
@@ -439,7 +481,6 @@ class TestFaultInjection:
         re-reads unpurged records: at-least-once, no loss."""
         fs, monitor = build_monitor(
             restart_policy=RestartPolicy(max_restarts=10, backoff_base=0.001),
-            supervise_interval=0.002,
         )
         collector = monitor.collectors[0]
         collector.sink = CrashingSink(collector.sink, crashes=2)

@@ -202,7 +202,6 @@ class TestCrashIsolation:
         supervisor = Supervisor(
             "sched-sup",
             policy=RestartPolicy(backoff_base=0.3),
-            poll_interval=0.005,
         )
         supervisor.add_child(crashy)
         supervisor.add_child(other)
@@ -266,7 +265,6 @@ class TestStop:
         supervisor = Supervisor(
             "sched-restart",
             policy=RestartPolicy(backoff_base=0.0),
-            poll_interval=0.005,
         )
         supervisor.add_child(crashy)
         supervisor.start()

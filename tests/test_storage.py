@@ -32,9 +32,8 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cluster import ClusterConfig, ClusterMonitor
+from repro.cluster import ClusterClient, ClusterConfig, ClusterMonitor
 from repro.core import AggregatorConfig
-from repro.core.client import MonitorClient
 from repro.core.events import EventType, FileEvent
 from repro.core.store import EventStore
 from repro.core.storage import (
@@ -720,13 +719,13 @@ class TestDurableBridge:
             push.send([make_event(f"/h/{i}") for i in range(8, 11)])
             assert self._pump(bridge, lambda: bridge.events_stored == 11)
 
-            client = MonitorClient.for_aggregator(
+            client = ClusterClient.for_aggregator(
                 transport, bridge, timeout=10.0
             )
-            page = client.events_since(0, limit=100)
+            page = client.page(limit=100)
             # All eleven, exactly once, originals + post-kill tail.
-            assert [seq for seq, _ in page] == list(range(1, 12))
-            assert [e.path for _, e in page] == [
+            assert [seq for _, seq, _ in page] == list(range(1, 12))
+            assert [e.path for _, _, e in page] == [
                 f"/h/{i}" for i in range(11)
             ]
         finally:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import LustreMonitor, MonitorClient
+from repro.cluster import ClusterClient
+from repro.core import LustreMonitor
 from repro.fs.memfs import MemoryFilesystem
 from repro.fs.watchdog import Observer, PatternMatchingEventHandler
 from repro.lustre import LustreFilesystem
@@ -121,11 +122,11 @@ class TestStatsApi:
     def test_client_stats(self):
         fs = LustreFilesystem(clock=ManualClock())
         monitor = LustreMonitor(fs)
-        client = MonitorClient.for_monitor(monitor)
+        client = ClusterClient.for_cluster(monitor)
         for index in range(7):
             fs.create(f"/f{index}")
         monitor.drain()
-        stats = client.stats()
+        stats = client.stats()["per_shard"]["shard0"]
         assert stats["events_stored"] == 7
         assert stats["store_last_seq"] == 7
         assert stats["store_len"] == 7

@@ -11,10 +11,10 @@ import threading
 
 import pytest
 
+from repro.cluster import ClusterClient
 from repro.core import (
     AggregatorConfig,
     LustreMonitor,
-    MonitorClient,
     MonitorConfig,
     ReportBatch,
     facility_relay,
@@ -342,7 +342,7 @@ class TestEndToEndStages:
         for index in range(10):
             fs.create(f"/proj/data/f{index}")
         monitor.drain()
-        client = MonitorClient.for_monitor(monitor)
+        client = ClusterClient.for_cluster(monitor)
         answer = client.metrics()
         for stage in ("collect", "aggregate", "publish", "deliver"):
             summary = answer["histograms"][f"pipeline.{stage}"]

@@ -29,15 +29,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import ClusterConfig, ClusterMonitor
+from repro.cluster import ClusterClient, ClusterConfig, ClusterMonitor
 from repro.core import (
     AdaptiveFlushController,
     Aggregator,
     AggregatorConfig,
     FlushTuning,
 )
-from repro.core.client import MonitorClient
-from repro.core.events import EventType, FileEvent, iter_entries
+from repro.core.events import EventType, FileEvent
 from repro.errors import MessagingError, SocketClosed, WouldBlock
 from repro.lustre import LustreFilesystem
 from repro.lustre.mds import DnePolicy
@@ -622,7 +621,7 @@ class TestMultiprocBridge:
                 try:
                     for _topic, payload in sub.recv_many(block=False):
                         assert payload.shard == "s0"
-                        got.extend(iter_entries(payload))
+                        got.extend(payload.entries)
                 except WouldBlock:
                     pass
 
@@ -633,10 +632,12 @@ class TestMultiprocBridge:
             assert [seq for seq, _ in got] == list(range(1, 13))
             assert [e.path for _, e in got] == [e.path for e in events]
 
-            client = MonitorClient.for_aggregator(transport, bridge, timeout=10.0)
-            assert client.last_seq() == 12
-            page = client.events_since(0, limit=5)
-            assert [seq for seq, _ in page] == [1, 2, 3, 4, 5]
+            client = ClusterClient.for_aggregator(
+                transport, bridge, timeout=10.0
+            )
+            assert client.last_seq() == {"s0": 12}
+            page = client.page(limit=5)
+            assert [seq for _, seq, _ in page] == [1, 2, 3, 4, 5]
         finally:
             transport.close()
 
@@ -656,11 +657,13 @@ class TestMultiprocBridge:
             assert bridge.events_stored == 11
             assert bridge.metrics.snapshot()["child_restarts"] >= 1
 
-            client = MonitorClient.for_aggregator(transport, bridge, timeout=10.0)
+            client = ClusterClient.for_aggregator(
+                transport, bridge, timeout=10.0
+            )
             # The respawned child resumed the sequence space: the new
             # events carry 9..11, not 1..3.
             page = client.events_since(8)
-            assert [seq for seq, _ in page] == [9, 10, 11]
+            assert [seq for _, seq, _ in page] == [9, 10, 11]
         finally:
             transport.close()
 

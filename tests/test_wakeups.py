@@ -222,7 +222,6 @@ class TestWakerLifetime:
         supervisor = Supervisor(
             "wake-sup",
             policy=RestartPolicy(backoff_base=0.0),
-            poll_interval=0.005,
         )
         supervisor.add_child(executor)
         supervisor.start()
