@@ -153,6 +153,9 @@ class GatewayServer(Service):
         self._sock: Optional[socket.socket] = None
         self._bind()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: The loop's half of the halt flag: ``on_halt`` sets it on the
+        #: loop, which ends ``_serve``.
+        self._serve_stop: Optional[asyncio.Event] = None
         self._conn_tasks: set = set()
         #: Set once the loop is accepting connections (start barrier).
         self.ready = threading.Event()
@@ -194,11 +197,15 @@ class GatewayServer(Service):
 
     async def _serve(self) -> None:
         server = await asyncio.start_server(self._handle_conn, sock=self._sock)
+        # Made before the flag is read: a stop either sees it or came
+        # before the read.
+        self._serve_stop = asyncio.Event()
         self.ready.set()
         try:
-            while not self._halt.is_set():
-                await asyncio.sleep(0.02)
+            if not self._halt.is_set():
+                await self._serve_stop.wait()
         finally:
+            self._serve_stop = None
             self.ready.clear()
             server.close()
             self._sock = None  # closed with the server; rebind on restart
@@ -216,6 +223,12 @@ class GatewayServer(Service):
         # Callers (tests, demo, supervisor siblings) may connect the
         # moment start() returns; wait for the accept loop.
         self.ready.wait(timeout=5.0)
+
+    def on_halt(self) -> None:
+        loop, serve_stop = self._loop, self._serve_stop
+        if loop is not None and serve_stop is not None:
+            with contextlib.suppress(RuntimeError):  # the loop has closed
+                loop.call_soon_threadsafe(serve_stop.set)
 
     def on_close(self) -> None:
         self.hub.close()

@@ -1,13 +1,13 @@
 """Wire framing for the multiproc transport's data plane.
 
 The process-per-shard bridge moves report batches and published event
-batches across ``multiprocessing`` queues.  Putting the domain objects
-on a queue directly would deep-pickle every :class:`FileEvent`
+batches across ``multiprocessing`` pipes.  Putting the domain objects
+on a pipe directly would deep-pickle every :class:`FileEvent`
 (per-object reduce calls, class lookups on load) — the slow path the
 transport refactor exists to avoid.  Instead the data plane is framed
 here: each event is flattened to a tuple of primitives and the whole
 batch serialised with :mod:`marshal`, CPython's C-speed codec for
-primitive containers.  The queue then carries one opaque ``bytes``
+primitive containers.  The pipe then carries one opaque ``bytes``
 blob, and the receiving process rebuilds the events through one
 generated builder (:func:`_compile_event_builder`).
 

@@ -34,16 +34,28 @@ loss-free path, as for a PUB message missed by a slow joiner.)
 runs on the process scheduler with every other woken step.  Its
 ``bridge`` worker is rung by its own PULL and REP sockets (a report or
 a request arriving) and by a ``reader`` thread, which only blocks on
-the child→parent queue's pipe and the child's process sentinel: it
-hands the frames it reads over and rings the bridge, so every frame is
-handled on the scheduler.  Acks, publications and replies are handled
-as they arrive, a child that dies is respawned at once, and reports or
-requests held back by a full child inbox (they stay in their mailbox)
-move on as soon as the child acks.
+the child's output pipe and its process sentinel: it reads the frames
+with ``recv_bytes``, hands them over and rings the bridge, so every
+frame is handled on the scheduler.  Acks, publications and replies are
+handled as they arrive, a child that dies is respawned at once, and
+reports or requests held back by a full child inbox (they stay in
+their mailbox) move on as soon as the child catches up.
+
+**One pipe write per hop.**  Each direction is one one-way
+``multiprocessing.Pipe``, and the thread that produces a frame writes
+it (``send_bytes`` of a marshal tuple): no queue buffer and no feeder
+thread stand between a frame and the pipe.  A full pipe blocks its
+writer.  The child may block, since the ``reader`` always drains its
+output; the bridge may not, so it counts the pipe pages it has written
+since it last saw the inbox pipe empty and writes a frame only while
+that count fits the pipe's capacity (``F_GETPIPE_SZ``).  A report too
+long to ever fit is cut at event boundaries into several batches.
+The parent closes its copies of the child's pipe ends, so the death of
+either side is an EOF for the other.
 
 Children are started with the ``spawn`` method by default: forking a
-multi-threaded parent (the scheduler, bridge readers, queue feeder
-threads) risks cloning held locks; a fresh interpreter does not.
+multi-threaded parent (the scheduler, bridge readers) risks cloning
+held locks; a fresh interpreter does not.
 ``spawn`` installs the parent's ``sys.path`` in the child before it
 unpickles :func:`_shard_main`, so the child finds ``repro`` however
 the parent did.  Its boot is the respawn latency, so it imports only
@@ -52,9 +64,14 @@ what it runs: the package ``__init__``s on its path export lazily.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
+import marshal
+import mmap
 import multiprocessing
 import pickle
-import queue
+import struct
+import termios
 import threading
 import time
 from collections import deque
@@ -63,6 +80,7 @@ from itertools import count
 from multiprocessing.connection import wait
 from typing import Any, Optional
 
+from repro.core.events import ReportBatch
 from repro.errors import WouldBlock
 from repro.msgq.context import Context
 from repro.msgq.framing import (
@@ -82,12 +100,12 @@ DEFAULT_START_METHOD = "spawn"
 
 #: How often (seconds) the child ships its registry snapshot to the
 #: parent; 0 disables the relay.  Snapshots ride the ordinary child
-#: output queue, so they are strictly ordered with pubs and acks.
+#: output pipe, so they are strictly ordered with pubs and acks.
 DEFAULT_RELAY_INTERVAL = 0.25
 
-#: Frames the parent→child queue holds before the bridge stops
-#: draining its PULL socket (backpressure propagates to collectors
-#: through the socket's own credits).
+#: Most frames the bridge writes into the child's inbox pipe before it
+#: sees the pipe empty again (the pipe's capacity bounds it too); the
+#: rest wait in the PULL socket, whose credits push back on collectors.
 DEFAULT_INBOX_FRAMES = 64
 
 #: Longest the reader worker blocks on the child before re-checking
@@ -102,6 +120,107 @@ _READER_BATCH = 64
 #: it is drained after every batch, so depth stays one batch deep.
 _CAPTURE_HWM = 1 << 30
 
+#: A pipe's unit of capacity: the kernel stores written bytes in pages.
+_PAGE = mmap.PAGESIZE
+
+#: Pipe capacity assumed where ``F_GETPIPE_SZ`` is missing (a macOS
+#: pipe starts at 16 KiB).
+_DEFAULT_PIPE_BYTES = 16384
+
+
+def _pipe_pages(conn) -> int:
+    """Capacity of *conn*'s pipe, in pages."""
+    try:
+        size = fcntl.fcntl(conn.fileno(), fcntl.F_GETPIPE_SZ)
+    except (AttributeError, OSError):
+        size = _DEFAULT_PIPE_BYTES
+    return max(size // _PAGE, 1)
+
+
+def _pipe_unread(conn) -> int:
+    """Bytes in *conn*'s pipe that its reader has not read yet."""
+    packed = fcntl.ioctl(conn.fileno(), termios.FIONREAD, b"\0\0\0\0")
+    return struct.unpack("i", packed)[0]
+
+
+def _frame_pages(nbytes: int) -> int:
+    """Most pipe pages one ``send_bytes`` of *nbytes* can take.
+
+    A write takes at most one fresh page per started page of its bytes
+    (the kernel only tops up the last page with a short tail); the
+    4-byte length header, written with the bytes or on its own, may
+    take one more.
+    """
+    return 1 + -(-nbytes // _PAGE)
+
+
+class _FramePipe:
+    """The writing end of one pipe, which knows when a frame fits.
+
+    A full pipe blocks its writer.  Every frame written counts as
+    unread until the pipe is seen empty (``FIONREAD``): then its reader
+    has taken everything so far.  A frame fits while that count, in
+    pipe pages, stays within the pipe's capacity and the frame count
+    below *max_frames*, so a write that fits cannot block.  A frame
+    larger than the whole pipe fits only a pipe seen empty, and its
+    write waits for the reader to take the rest.
+    """
+
+    def __init__(self, conn, max_frames: int = DEFAULT_INBOX_FRAMES) -> None:
+        self.conn = conn
+        self.window = _pipe_pages(conn)
+        self.max_frames = max_frames
+        # A pipe that already holds bytes counts as full until seen empty.
+        self.unread_pages = self.window if _pipe_unread(conn) else 0
+        self.unread_frames = 0
+
+    def fits(self, pages: int) -> bool:
+        if self.unread_pages and (
+            self.unread_pages + pages > self.window
+            or self.unread_frames >= self.max_frames
+        ):
+            if _pipe_unread(self.conn):
+                return False
+            self.unread_pages = self.unread_frames = 0
+        return True
+
+    def write(self, frame: bytes) -> None:
+        self.conn.send_bytes(frame)
+        self.unread_pages += _frame_pages(len(frame))
+        self.unread_frames += 1
+
+    def write_if_fits(self, frame: bytes) -> bool:
+        if not self.fits(_frame_pages(len(frame))):
+            return False
+        self.write(frame)
+        return True
+
+
+def _read_frame(conn) -> tuple:
+    return marshal.loads(conn.recv_bytes())
+
+
+def _split_report(payload, nbytes: int, window: int) -> list:
+    """Cut a report whose frame of *nbytes* overflows a *window*-page
+    pipe into consecutive reports of about half a window each (so one
+    can wait in the pipe while the child handles another).  Returns []
+    for a report that cannot be cut: not an event list, or one event.
+    """
+    if isinstance(payload, ReportBatch):
+        events = payload.events
+    elif isinstance(payload, list):
+        events = payload
+    else:
+        return []
+    if len(events) < 2:
+        return []
+    parts = min(max(-(-nbytes * 2 // (window * _PAGE)), 2), len(events))
+    size = -(-len(events) // parts)
+    chunks = [events[i:i + size] for i in range(0, len(events), size)]
+    if isinstance(payload, ReportBatch):
+        return [ReportBatch(chunk, payload.collected_ts) for chunk in chunks]
+    return chunks
+
 
 @dataclass(frozen=True)
 class ShardChildSpec:
@@ -115,7 +234,7 @@ class ShardChildSpec:
     relay_interval: float = DEFAULT_RELAY_INTERVAL
 
 
-def _forward_pubs(capture, events_q, want_pubs: bool) -> None:
+def _forward_pubs(capture, out: _FramePipe, want_pubs: bool) -> None:
     """Ship the publications of the batch just handled to the parent.
 
     With no parent-side subscribers the frames are skipped entirely
@@ -128,21 +247,23 @@ def _forward_pubs(capture, events_q, want_pubs: bool) -> None:
     if not want_pubs:
         return
     for topic, payload in messages:
-        events_q.put(("pub", topic, encode_entries(payload)))
+        out.write(marshal.dumps(("pub", topic, encode_entries(payload))))
 
 
-def _shard_main(spec: ShardChildSpec, inbox_q, events_q) -> None:
+def _shard_main(spec: ShardChildSpec, inbox, outbox) -> None:
     """Child process entry point: a synchronously driven Aggregator.
 
+    *inbox* and *outbox* are the child's ends of its two pipes.
     Frames in: ``("batch", bid, bytes)``, ``("req", rid, bytes)``,
     ``("want", bool)``, ``("tune", {...})``, ``("relay",)``,
-    ``("stop",)``.
+    ``("stop",)``; EOF (the parent closed its end, or died) stops the
+    child too.
     Frames out: ``("pub", topic, bytes)``, ``("ack", bid, last_seq)``,
     ``("reply", rid, bytes)``, ``("metrics", bytes)``,
     ``("crashed", reason)``.
 
     Publications are forwarded *before* the batch's ack, so an acked
-    batch's events are always ahead of the ack in the FIFO — the
+    batch's events are always ahead of the ack in the pipe — the
     ordering the bridge's at-least-once accounting relies on.
     """
     from repro.core.aggregator import Aggregator
@@ -177,16 +298,15 @@ def _shard_main(spec: ShardChildSpec, inbox_q, events_q) -> None:
     )
     want_pubs = spec.want_pubs
     parent = multiprocessing.parent_process()
+    out = _FramePipe(outbox)
 
     def _ship_metrics() -> None:
-        # Best-effort only against a full output queue: the parent is
-        # behind on real work, and dropping a snapshot delays one relay
-        # tick.  Any other fault escapes and kills the child loudly.
+        # Best-effort only: with no room in the output pipe the parent
+        # is behind on real work, and dropping a snapshot delays one
+        # relay tick.  Any other fault escapes and kills the child
+        # loudly.
         state = aggregator.metrics.registry.export_state()
-        try:
-            events_q.put_nowait(("metrics", encode_state(state)))
-        except queue.Full:
-            pass
+        out.write_if_fits(marshal.dumps(("metrics", encode_state(state))))
 
     last_relay = time.monotonic()
 
@@ -200,13 +320,15 @@ def _shard_main(spec: ShardChildSpec, inbox_q, events_q) -> None:
             last_relay = now
 
     while True:
-        try:
-            frame = inbox_q.get(timeout=0.1)
-        except queue.Empty:
+        if not inbox.poll(0.1):
             if parent is not None and not parent.is_alive():
                 break
             _maybe_relay()
             continue
+        try:
+            frame = _read_frame(inbox)
+        except EOFError:
+            break
         kind = frame[0]
         if kind == "stop":
             break
@@ -214,8 +336,8 @@ def _shard_main(spec: ShardChildSpec, inbox_q, events_q) -> None:
             if kind == "batch":
                 bid, data = frame[1], frame[2]
                 aggregator._handle_batch(decode_report(data))
-                _forward_pubs(capture, events_q, want_pubs)
-                events_q.put(("ack", bid, aggregator.store.last_seq))
+                _forward_pubs(capture, out, want_pubs)
+                out.write(marshal.dumps(("ack", bid, aggregator.store.last_seq)))
             elif kind == "req":
                 rid, data = frame[1], frame[2]
                 request = pickle.loads(data)
@@ -223,7 +345,7 @@ def _shard_main(spec: ShardChildSpec, inbox_q, events_q) -> None:
                     answer = aggregator._answer(request)
                 except Exception as exc:  # delivered to the requester
                     answer = exc
-                events_q.put(("reply", rid, pickle.dumps(answer)))
+                out.write(marshal.dumps(("reply", rid, pickle.dumps(answer))))
             elif kind == "want":
                 want_pubs = bool(frame[1])
             elif kind == "tune":
@@ -238,8 +360,8 @@ def _shard_main(spec: ShardChildSpec, inbox_q, events_q) -> None:
             _maybe_relay()
         except Exception as exc:
             try:
-                events_q.put_nowait(
-                    ("crashed", f"{type(exc).__name__}: {exc}")
+                out.write_if_fits(
+                    marshal.dumps(("crashed", f"{type(exc).__name__}: {exc}"))
                 )
             except Exception:
                 pass
@@ -288,12 +410,21 @@ class ProcessShardBridge(Service):
         self.api.wakers.add(self._wake)
         self._mp = multiprocessing.get_context(start_method)
         self._inbox_frames = inbox_frames
-        self._inbox_q = None
-        self._events_q = None
+        #: The parent's ends of the child's pipes: it writes the inbox
+        #: and reads the output.
+        self._inbox: Optional[_FramePipe] = None
+        self._outbox = None
         self._proc = None
         self._pump_lock = threading.RLock()
+        #: Frames a respawned child gets before any new work.
+        self._replay: deque = deque()
+        #: ``(item, id, data, frame)`` for the report and the request
+        #: whose frame did not fit the pipe: the item waits at the head
+        #: of its mailbox, and the next pump re-sends the same frame.
+        self._held_report: Optional[tuple] = None
+        self._held_request: Optional[tuple] = None
         #: Child frames the reader thread read, in order, not yet
-        #: handled.  Every read of the child queue happens under
+        #: handled.  Every read of the output pipe happens under
         #: ``_handoff_lock`` and lands here before any later one.
         self._handoff: deque = deque()
         self._handoff_lock = threading.Lock()
@@ -383,8 +514,9 @@ class ProcessShardBridge(Service):
     # -- child lifecycle ----------------------------------------------------
 
     def _spawn(self) -> None:
-        self._inbox_q = self._mp.Queue(self._inbox_frames)
-        self._events_q = self._mp.Queue(self._inbox_frames * 4 + 16)
+        inbox_r, inbox_w = self._mp.Pipe(duplex=False)
+        self._outbox, outbox_w = self._mp.Pipe(duplex=False)
+        self._inbox = _FramePipe(inbox_w, self._inbox_frames)
         # New incarnation: relayed counters fold the dead child's final
         # values into their offsets.  Bumped before any frame from the
         # new child can arrive.
@@ -403,31 +535,40 @@ class ProcessShardBridge(Service):
         )
         self._proc = self._mp.Process(
             target=_shard_main,
-            args=(spec, self._inbox_q, self._events_q),
+            args=(spec, inbox_r, outbox_w),
             name=f"shard-{self.name}",
             daemon=True,
         )
-        self._proc.start()
+        try:
+            self._proc.start()
+        finally:
+            # Only the child holds these ends now, so its death is an
+            # EOF on the output pipe and ours is one on its inbox.
+            inbox_r.close()
+            outbox_w.close()
         self._spawn_acked = self._last_acked_seq
         # Replay: unacked batches in original order get their original
         # sequence numbers (the child was seeded past the acked ones).
-        for bid, data in sorted(self._inflight.items()):
-            self._inbox_q.put(("batch", bid, data))
-        for rid, data in sorted(self._pending_requests.items()):
-            self._inbox_q.put(("req", rid, data))
+        self._replay = deque(
+            [("batch", bid, data) for bid, data in sorted(self._inflight.items())]
+            + [
+                ("req", rid, data)
+                for rid, data in sorted(self._pending_requests.items())
+            ]
+        )
         self._tuning_dirty = self._flush_batch_events != self.config.batch_events
         self._respawned.set()
 
-    def _discard_queues(self) -> None:
-        for q in (self._inbox_q, self._events_q):
-            if q is None:
-                continue
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
-        self._inbox_q = self._events_q = None
+    def _discard_pipes(self) -> None:
+        with self._handoff_lock:
+            conns = [self._outbox]
+            if self._inbox is not None:
+                conns.append(self._inbox.conn)
+            for conn in conns:
+                if conn is not None:
+                    with contextlib.suppress(OSError):
+                        conn.close()
+            self._inbox = self._outbox = None
         self._respawned.clear()
 
     def _ensure_child(self) -> int:
@@ -437,9 +578,10 @@ class ProcessShardBridge(Service):
         if proc is not None:
             proc.join(timeout=0.5)
             # Whatever the dead child managed to emit is still real
-            # work: acks clear in-flight, pubs reach subscribers.
-            self._drain_child()
-            self._discard_queues()
+            # work: acks clear in-flight, pubs reach subscribers.  Its
+            # pipe ends are closed, so reading here ends at EOF.
+            self._drain_child(read=True)
+            self._discard_pipes()
             self._child_restarts.inc()
             if self._last_acked_seq > self._spawn_acked:
                 self._fruitless_respawns = 0
@@ -456,12 +598,11 @@ class ProcessShardBridge(Service):
     def request_metrics(self) -> bool:
         """Ask the child for an immediate registry snapshot (the reply
         arrives as a ``metrics`` frame on a later pump).  Returns False
-        when the control queue is full — retry on the next pump."""
-        try:
-            self._inbox_q.put_nowait(("relay",))
-            return True
-        except Exception:
-            return False
+        when the child's inbox pipe is full — retry on the next pump."""
+        with self._pump_lock:
+            if self._inbox is None:
+                return False
+            return self._send(marshal.dumps(("relay",)))
 
     @property
     def relay_merges(self) -> int:
@@ -481,10 +622,9 @@ class ProcessShardBridge(Service):
         if proc is None:
             return
         if proc.is_alive():
-            try:
-                self._inbox_q.put(("stop",), timeout=0.2)
-            except Exception:
-                pass
+            # EOF on its inbox stops the child after the frames ahead.
+            with contextlib.suppress(OSError):
+                self._inbox.conn.close()
             proc.join(timeout=1.0)
         if proc.is_alive():
             proc.terminate()
@@ -492,83 +632,104 @@ class ProcessShardBridge(Service):
         if proc.is_alive():
             proc.kill()
             proc.join(timeout=1.0)
-        self._discard_queues()
+        self._discard_pipes()
         self._proc = None
 
     # -- pumping ------------------------------------------------------------
 
-    def _inbox_capacity(self) -> int:
+    def _send(self, frame: bytes) -> bool:
+        """Write one encoded frame if it fits the inbox pipe now."""
         try:
-            depth = self._inbox_q.qsize()
-        except (NotImplementedError, OSError):
-            depth = 0
-        return max(self._inbox_frames - depth, 0)
+            return self._inbox.write_if_fits(frame)
+        except OSError:
+            # The child died; its next incarnation gets what counts
+            # (in-flight batches, pending requests, want/tune) at spawn.
+            return True
+
+    def _held_fits(self, held: Optional[tuple]) -> bool:
+        return held is None or self._inbox.fits(_frame_pages(len(held[3])))
+
+    def _flush_replay(self) -> int:
+        work = 0
+        while self._replay and self._send(marshal.dumps(self._replay[0])):
+            self._replay.popleft()
+            work += 1
+        return work
 
     def _sync_want_pubs(self) -> int:
         # _want_pubs tracks what the child believes; it only advances
-        # when the frame is actually queued (put_nowait, so a wedged or
-        # dying child can never block the pump — the sync just retries).
+        # when the frame is actually written (only if it fits, so a
+        # wedged or dying child can never block the pump — the sync
+        # just retries).
         has_subs = self.publisher.subscriber_count > 0
         work = 0
-        if has_subs != self._want_pubs:
-            try:
-                self._inbox_q.put_nowait(("want", has_subs))
-                self._want_pubs = has_subs
-                work += 1
-            except queue.Full:
-                pass
-        if self._tuning_dirty:
-            try:
-                self._inbox_q.put_nowait(
-                    ("tune", {"batch_events": self._flush_batch_events})
-                )
-                self._tuning_dirty = False
-                work += 1
-            except queue.Full:
-                pass  # retried on the next pump
+        if has_subs != self._want_pubs and self._send(
+            marshal.dumps(("want", has_subs))
+        ):
+            self._want_pubs = has_subs
+            work += 1
+        if self._tuning_dirty and self._send(
+            marshal.dumps(("tune", {"batch_events": self._flush_batch_events}))
+        ):
+            self._tuning_dirty = False
+            work += 1
         return work
 
     def _forward_reports(self) -> int:
         work = 0
-        capacity = self._inbox_capacity()
-        while capacity > 0:
+        while not self._replay and self._held_fits(self._held_report):
             try:
                 payload = self.inbound.recv(block=False)
             except WouldBlock:
                 break
-            data = encode_report(payload)
-            bid = next(self._bid_counter)
-            try:
-                self._inbox_q.put_nowait(("batch", bid, data))
-            except queue.Full:
+            held = self._held_report
+            if held is not None and held[0] is payload:
+                _, bid, data, frame = held
+            else:
+                data = encode_report(payload)
+                window = self._inbox.window
+                if _frame_pages(len(data)) > window:
+                    parts = _split_report(payload, len(data), window)
+                    if parts:
+                        self.inbound.requeue(parts)
+                        continue
+                bid = next(self._bid_counter)
+                frame = marshal.dumps(("batch", bid, data))
+            if not self._send(frame):
                 # The report stays in the PULL mailbox for a later pump.
                 self.inbound.requeue([payload])
+                self._held_report = (payload, bid, data, frame)
                 break
+            self._held_report = None
             self._inflight[bid] = data
             self._batches_received.inc()
             try:
                 self._events_forwarded.inc(len(payload))
             except TypeError:
                 pass
-            capacity -= 1
             work += 1
         return work
 
     def _forward_requests(self) -> int:
         work = 0
-        while self._inbox_capacity() > 0:
+        while not self._replay and self._held_fits(self._held_request):
             try:
                 request, channel = self.api.recv(timeout=0)
             except WouldBlock:
                 break
-            rid = next(self._rid_counter)
-            data = pickle.dumps(request)
-            try:
-                self._inbox_q.put_nowait(("req", rid, data))
-            except queue.Full:
+            held = self._held_request
+            if held is not None and held[0] is request:
+                _, rid, data, frame = held
+            else:
+                rid = next(self._rid_counter)
+                data = pickle.dumps(request)
+                frame = marshal.dumps(("req", rid, data))
+            if not self._send(frame):
                 # Give the request back to the REP mailbox untouched.
                 self.api._requests.requeue([(request, channel)])
+                self._held_request = (request, rid, data, frame)
                 break
+            self._held_request = None
             self._pending_replies[rid] = channel
             self._pending_requests[rid] = data
             work += 1
@@ -603,23 +764,31 @@ class ProcessShardBridge(Service):
                 "shard child crashed: %s", self._child_error
             )
 
-    def _take_frames(self, events_q, limit: Optional[int] = None) -> list:
-        """Read the child's pending frames, in order (handoff lock held)."""
+    def _take_frames(self, outbox, limit: Optional[int] = None) -> list:
+        """Read the child's pending frames, in order (handoff lock held).
+
+        Reads nothing from a pipe a respawn has replaced, and stops at
+        EOF: a dead child's death is its sentinel's to report.
+        """
         frames: list = []
-        if events_q is None:  # between a child's death and its respawn
+        if outbox is None or outbox is not self._outbox:
             return frames
-        while limit is None or len(frames) < limit:
-            try:
-                frames.append(events_q.get_nowait())
-            except (queue.Empty, OSError, ValueError):
-                break
+        try:
+            while (limit is None or len(frames) < limit) and outbox.poll():
+                frames.append(_read_frame(outbox))
+        except (EOFError, OSError):
+            pass
         return frames
 
-    def _drain_child(self) -> int:
+    def _drain_child(self, read: bool = False) -> int:
+        """Handle the frames handed over; with *read*, also read the
+        output pipe here (no reader thread runs, or the child is dead).
+        """
         with self._handoff_lock:
             frames = list(self._handoff)
             self._handoff.clear()
-            frames += self._take_frames(self._events_q)
+            if read:
+                frames += self._take_frames(self._outbox)
         for frame in frames:
             self._handle_frame(frame)
         return len(frames)
@@ -627,18 +796,23 @@ class ProcessShardBridge(Service):
     def pump_once(self, timeout: float = 0.0) -> int:
         """One bridge sweep; returns the number of frames moved.
 
-        Order matters: child liveness first (respawn+replay), then the
+        Order matters: child liveness first (respawn), then the replay
+        of a respawned child's unanswered frames, then the
         want-pubs/tuning sync (control frames precede data in the
-        FIFO), then report/API forwarding, then the child's output.
+        pipe), then report/API forwarding, then the child's output.
         *timeout* is accepted for Aggregator signature compatibility;
         the bridge never blocks — its service workers do the waiting.
+        While the ``reader`` thread runs, only it reads the child's
+        pipe, so a frame the child is still writing never holds the
+        scheduler.
         """
         with self._pump_lock:
             work = self._ensure_child()
+            work += self._flush_replay()
             work += self._sync_want_pubs()
             work += self._forward_reports()
             work += self._forward_requests()
-            work += self._drain_child()
+            work += self._drain_child(read=not self._worker_threads)
             return work
 
     def serve_api_once(self, timeout: float = 0.0) -> bool:
@@ -658,14 +832,14 @@ class ProcessShardBridge(Service):
 
     def _wait_child(self, timeout: float) -> list:
         """Block until the child has output or has died (or *timeout*);
-        returns what is ready.  A queue closed under the wait by a
+        returns what is ready.  A pipe closed under the wait by a
         respawn counts as ready, so the caller re-reads."""
-        events_q, proc = self._events_q, self._proc
-        if events_q is None or proc is None:
+        outbox, proc = self._outbox, self._proc
+        if outbox is None or proc is None:
             self._respawned.wait(timeout)
             return []
         try:
-            return wait([events_q._reader, proc.sentinel], timeout=timeout)
+            return wait([outbox, proc.sentinel], timeout=timeout)
         except (OSError, ValueError):
             return [None]
 
@@ -674,17 +848,21 @@ class ProcessShardBridge(Service):
 
         The reader never handles a frame itself — the bridge step does,
         on the scheduler.  After the child dies it rings once and waits
-        for the respawn rather than spinning on the dead sentinel.
+        for the respawn rather than spinning on the dead sentinel (or
+        on the EOF of its pipe).
         """
-        events_q, proc = self._events_q, self._proc
+        outbox, proc = self._outbox, self._proc
         ready = self._wait_child(_READER_TIMEOUT)
         if not ready:
             return
-        if events_q is not None and events_q._reader in ready:
+        if outbox is not None and outbox in ready:
             with self._handoff_lock:
-                self._handoff.extend(
-                    self._take_frames(events_q, _READER_BATCH)
-                )
+                frames = self._take_frames(outbox, _READER_BATCH)
+                self._handoff.extend(frames)
+            if not frames and proc is not None and proc.sentinel not in ready:
+                # EOF: the child is on its way out; wait for its death.
+                with contextlib.suppress(OSError, ValueError):
+                    ready = wait([proc.sentinel], timeout=_READER_TIMEOUT)
         if proc is not None and proc.sentinel in ready:
             self._respawned.clear()
             if self._proc is proc:

@@ -26,7 +26,7 @@ Backends:
   inproc context extended with a process-per-shard factory: parent-side
   sockets stay inproc (so collectors/consumers/clients are unchanged)
   while each shard's store+publish work runs in a child process bridged
-  over multiprocessing queues with marshal framing (pickle-free data
+  over multiprocessing pipes with marshal framing (pickle-free data
   plane) and at-least-once redelivery.
 
 :func:`make_transport` resolves a transport URL/name (``"inproc"``,

@@ -109,9 +109,12 @@ class RippleAgent(Service):
         self._handler = _AgentHandler(self)
         #: Watched prefixes and their observer schedules (never nested).
         self._schedules: dict[str, "_Schedule"] = {}
-        #: Prefixes awaiting their directory -> ids of the enabled rules
-        #: on them.
-        self._pending_prefixes: dict[str, set[int]] = {}
+        #: Prefix -> ids of the enabled rules on it.  A prefix is
+        #: watched while it has one, by its own watcher or an
+        #: ancestor's.
+        self._enabled_on: dict[str, set[int]] = {}
+        #: Enabled rules' prefixes not placed yet (no directory yet).
+        self._pending_prefixes: set[str] = set()
         self._monitor_consumer = None
         self._storage_monitor = None
         #: Action requests routed to this agent, awaiting execution.
@@ -308,7 +311,8 @@ class RippleAgent(Service):
         self._track_watcher(rule)
 
     def remove_rule(self, rule: Rule) -> None:
-        """Drop one rule the service deleted (its watcher stays)."""
+        """Drop one rule the service deleted (and its watcher, with the
+        last enabled rule on its prefix)."""
         self._rules.pop(rule.rule_id, None)
         self.rule_index.remove(rule)
         self._track_watcher(rule)
@@ -324,31 +328,49 @@ class RippleAgent(Service):
         self._track_watcher(rule)
 
     def _track_watcher(self, rule: Rule) -> None:
-        """Queue or drop *rule*'s prefix, then place what can be placed.
+        """Count *rule* on its prefix, then place what can be placed.
 
         A prefix whose directory does not exist yet waits in
-        ``_pending_prefixes`` (with the ids of the enabled rules that
-        want it) and is retried on every later rule delta.
+        ``_pending_prefixes`` and is retried on every later rule delta.
+        A prefix left with no enabled rule loses its watcher (the
+        agent's watch set follows its rules).
         """
         if self.observer is None:
             return
         prefix = rule.trigger.path_prefix
-        waiting = self._pending_prefixes.setdefault(prefix, set())
+        ids = self._enabled_on.setdefault(prefix, set())
         if rule.enabled and rule.rule_id in self._rules:
-            waiting.add(rule.rule_id)
+            ids.add(rule.rule_id)
+            self._pending_prefixes.add(prefix)
         else:
-            waiting.discard(rule.rule_id)
-        if not waiting:
-            del self._pending_prefixes[prefix]
+            ids.discard(rule.rule_id)
+        if not ids:
+            del self._enabled_on[prefix]
+            self._pending_prefixes.discard(prefix)
+            if prefix in self._schedules:
+                self._unwatch(prefix)
         self._place_pending()
 
     def _place_pending(self) -> None:
-        for prefix in list(self._pending_prefixes):
+        # Shortest first, so a covering prefix is placed before the
+        # prefixes it covers are considered.
+        for prefix in sorted(self._pending_prefixes, key=len):
             if not self._watched(prefix):
                 if not self.fs.is_dir(prefix):
                     continue
                 self._schedule(prefix)
-            del self._pending_prefixes[prefix]
+            self._pending_prefixes.discard(prefix)
+
+    def _unwatch(self, prefix: str) -> None:
+        """Retire *prefix*'s watcher.  The nested prefixes it covered
+        that still have enabled rules get watchers of their own first,
+        so no event under them falls between two schedules."""
+        schedule = self._schedules.pop(prefix)
+        self._pending_prefixes.update(
+            path for path in self._enabled_on if is_ancestor(prefix, path)
+        )
+        self._place_pending()
+        self.observer.unschedule(schedule)
 
     def _watched(self, prefix: str) -> bool:
         """True when *prefix* or one of its ancestors has a watcher."""

@@ -159,6 +159,11 @@ class Service:
     def on_start(self) -> None:
         """Hook before the workers start."""
 
+    def on_halt(self) -> None:
+        """Hook right after stop raises the halt flag, before the
+        workers are waited for: wake a worker that waits on something
+        else."""
+
     def on_stop(self) -> None:
         """Flush hook after the workers have stopped."""
 
@@ -233,6 +238,7 @@ class Service:
             if self._state not in (ServiceState.RUNNING, ServiceState.CRASHED):
                 return
             self._halt.set()
+            self.on_halt()
             scheduler.release(self, timeout)
             current = threading.current_thread()
             for thread in self._worker_threads:

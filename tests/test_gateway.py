@@ -19,6 +19,8 @@ Covers the layers bottom-up:
   stalling anyone else.
 """
 
+import asyncio
+import sys
 import time
 
 import pytest
@@ -666,6 +668,35 @@ class TestGatewayService:
 # ---------------------------------------------------------------------------
 # Stock alert rules
 # ---------------------------------------------------------------------------
+
+
+class TestGatewayStop:
+    def test_idle_loop_sleeps_on_an_event_and_stops_promptly(
+        self, monkeypatch
+    ):
+        callers = []
+        real_sleep = asyncio.sleep
+
+        def recording_sleep(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_sleep(*args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+        cluster = ClusterMonitor(
+            LustreFilesystem(num_mds=1), ClusterConfig(num_shards=1)
+        )
+        gateway = attach_gateway(cluster)
+        cluster.start()
+        try:
+            time.sleep(0.2)
+            assert gateway.ready.is_set()
+            assert "_serve" not in callers
+            started = time.monotonic()
+            gateway.stop()
+            assert time.monotonic() - started < 1.0
+            assert not gateway.ready.is_set()
+        finally:
+            cluster.shutdown()
 
 
 class TestGatewayAlertRules:

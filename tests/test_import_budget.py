@@ -39,6 +39,8 @@ CHILD_NEVER = (
     "repro.telemetry.alerts",
     "repro.lustre.filesystem",
     "http.server",
+    # The bridge's pipes carry frames with no queue or feeder thread.
+    "multiprocessing.queues",
     # repro.util's helpers the child has no use for.
     "repro.util.idgen",
     "repro.util.paths",

@@ -207,8 +207,8 @@ class TestPumpedRequestsStartNoThread:
             monitor.drain()
             late = monitor.subscribe(lambda seq, ev: None, name="late")
             client = ClusterClient.for_cluster(monitor, timeout=10.0)
-            # Warm-up: a child's queue starts its one feeder thread on
-            # the first put of the child's life, not once per request.
+            # Warm-up: the first request of a client's life sets up
+            # what later ones reuse.
             client.last_seq()
             started = _spy_thread_starts(monkeypatch)
             page = client.page(limit=100)

@@ -6,12 +6,15 @@
   must still be able to respawn killed children, without touching
   ``os.environ``.
 * The child's metrics relay drops a snapshot only when its output
-  queue is full; any other fault on that path kills the child loudly.
+  pipe has no room; any other fault on that path kills the child
+  loudly.
 """
 
+import fcntl
 import json
+import marshal
+import multiprocessing
 import os
-import queue
 import subprocess
 import sys
 import textwrap
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.aggregator import AggregatorConfig
-from repro.msgq.multiproc import ShardChildSpec, _shard_main
+from repro.msgq.multiproc import ShardChildSpec, _read_frame, _shard_main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -118,23 +121,37 @@ class TestSpawnWithoutPythonpath:
         assert result["pythonpath"] is None
 
 
+def _pipe(capacity=None):
+    """A one-way pipe ``(read end, write end)``, shrunk to *capacity*
+    bytes when given."""
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    if capacity is not None:
+        fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, capacity)
+    return reader, writer
+
+
 def _run_child(inbox_frames, events_q):
-    inbox_q = queue.Queue()
+    """Run the child in this thread: *inbox_frames* then EOF on its
+    inbox, its output into the *events_q* pipe."""
+    inbox, inbox_w = _pipe()
     for frame in inbox_frames:
-        inbox_q.put(frame)
+        inbox_w.send_bytes(marshal.dumps(frame))
+    inbox_w.close()
     spec = ShardChildSpec(
         shard_id="s0", config=AggregatorConfig(trace_sample_rate=0.0)
     )
-    _shard_main(spec, inbox_q, events_q)
+    try:
+        _shard_main(spec, inbox, events_q[1])
+    finally:
+        inbox.close()
 
 
 def _drain(events_q):
+    reader = events_q[0]
     frames = []
-    while True:
-        try:
-            frames.append(events_q.get_nowait())
-        except queue.Empty:
-            return frames
+    while reader.poll():
+        frames.append(_read_frame(reader))
+    return frames
 
 
 class TestChildMetricsRelay:
@@ -143,14 +160,15 @@ class TestChildMetricsRelay:
             raise RuntimeError("encoder broke")
 
         monkeypatch.setattr("repro.telemetry.relay.encode_state", broken)
-        events_q = queue.Queue()
+        events_q = _pipe()
         with pytest.raises(RuntimeError, match="encoder broke"):
             _run_child([("relay",), ("stop",)], events_q)
         frames = _drain(events_q)
         assert ("crashed", "RuntimeError: encoder broke") in frames
 
     def test_full_output_queue_drops_the_snapshot(self):
-        events_q = queue.Queue(maxsize=1)
-        events_q.put(("occupied",))
+        # A one-page pipe holding one frame has no room for a snapshot.
+        events_q = _pipe(capacity=os.sysconf("SC_PAGE_SIZE"))
+        events_q[1].send_bytes(marshal.dumps(("occupied",)))
         _run_child([("relay",), ("stop",)], events_q)
         assert _drain(events_q) == [("occupied",)]

@@ -187,6 +187,37 @@ class TestWatcherPlacement:
         )
         assert agent.observer.directories_watched == before + 1  # /in only
 
+    def test_watcher_goes_with_the_last_rule_on_its_prefix(self, service):
+        agent = wired_agent(service)
+        rule = service.add_rule(Trigger(agent_id="dev", path_prefix="/in"),
+                                self.email())
+        service.remove_rule(rule.rule_id)
+        for index in range(100):
+            agent.fs.create(f"/in/f{index}", b"")
+        service.run_until_quiet()
+        assert agent.events_seen == 0
+
+    def test_removing_an_outer_rule_rewatches_the_nested_prefix(
+        self, service
+    ):
+        agent = wired_agent(service, watch="/a/b")
+        agent.fs.makedirs("/a/c")
+        outer = service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/a", name_pattern="*.y"),
+            self.email("a@y"),
+        )
+        service.add_rule(
+            Trigger(agent_id="dev", path_prefix="/a/b", name_pattern="*.x"),
+            self.email("b@x"),
+        )
+        service.remove_rule(outer.rule_id)
+        for index in range(3):
+            agent.fs.create(f"/a/b/f{index}.x", b"")
+            agent.fs.create(f"/a/c/f{index}.x", b"")
+        service.run_until_quiet()
+        assert [m["to"] for m in service.outbox] == ["b@x"] * 3
+        assert agent.events_seen == 3  # nothing under /a/c
+
     def test_rules_installed_before_attach_are_watched_on_attach(
         self, service
     ):

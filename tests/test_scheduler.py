@@ -8,8 +8,9 @@ the readiness no enqueue reports, and a started system idles on a
 handful of threads.
 """
 
+import multiprocessing
 import os
-import queue
+import signal
 import subprocess
 import sys
 import textwrap
@@ -22,7 +23,9 @@ import pytest
 
 from repro.cloudq import ReliableQueue, ServerlessExecutor
 from repro.core.events import EventType, FileEvent
+from repro.errors import WouldBlock
 from repro.metrics import MetricsRegistry
+from repro.msgq.multiproc import _FramePipe
 from repro.runtime import (
     RestartPolicy,
     Service,
@@ -440,18 +443,21 @@ def test_started_query_shaped_system_idles_on_few_threads():
         cluster.shutdown()
 
 
-class _FullQueue:
-    """A child inbox that claims room but refuses every frame."""
+class _FullPipe(_FramePipe):
+    """A child inbox with no room: its pipe holds unread bytes, and a
+    frame written fails the test."""
 
-    def qsize(self):
-        return 0
+    def __init__(self):
+        self._reader, writer = multiprocessing.Pipe(duplex=False)
+        writer.send_bytes(b"unread")
+        super().__init__(writer)
 
-    def put_nowait(self, frame):
-        raise queue.Full
+    def write(self, frame):
+        raise AssertionError("a frame was written into a full pipe")
 
 
 class TestBridgeNeverBlocks:
-    def _bridge(self, namespace):
+    def _bridge(self, namespace, **kwargs):
         from repro.core import AggregatorConfig
         from repro.msgq.multiproc import MultiprocTransport
 
@@ -461,11 +467,11 @@ class TestBridgeNeverBlocks:
             publish_endpoint=f"inproc://{namespace}.events",
             api_endpoint=f"inproc://{namespace}.api",
         )
-        return transport, transport.process_shard("shard0", config)
+        return transport, transport.process_shard("shard0", config, **kwargs)
 
     def test_full_child_inbox_leaves_reports_and_requests_in_their_mailbox(self):
         transport, bridge = self._bridge("sched-full")
-        real_inbox = bridge._inbox_q
+        real_inbox = bridge._inbox
         try:
             push = transport.push().connect(bridge.config.inbound_endpoint)
             push.send([
@@ -480,7 +486,7 @@ class TestBridgeNeverBlocks:
             )
             requester.start()
             assert wait_for(lambda: bridge.api.pending == 1)
-            bridge._inbox_q = _FullQueue()
+            bridge._inbox = _FullPipe()
             started = time.monotonic()
             assert bridge._forward_reports() == 0
             assert bridge._forward_requests() == 0
@@ -488,14 +494,78 @@ class TestBridgeNeverBlocks:
             assert bridge.inbound.pending == 1 and not bridge._inflight
             assert bridge.api.pending == 1 and not bridge._pending_replies
             # With room again, both move on and the request is answered.
-            bridge._inbox_q = real_inbox
+            bridge._inbox = real_inbox
             assert wait_for(lambda: bridge.pump_once() >= 0 and box, 10.0)
             assert wait_for(
                 lambda: bridge.pump_once() >= 0 and bridge.events_stored == 1,
                 10.0,
             )
         finally:
-            bridge._inbox_q = real_inbox
+            bridge._inbox = real_inbox
+            transport.close()
+
+    def test_stopped_child_never_holds_a_bridge_step(self):
+        from repro.msgq.framing import encode_report
+
+        # No metrics relay: a stopped child must be idle, not mid-write.
+        transport, bridge = self._bridge("sched-stopped", relay_interval=0)
+        proc = bridge._proc
+        try:
+            sub = transport.sub().connect(bridge.config.publish_endpoint)
+            sub.subscribe("")
+            push = transport.push().connect(bridge.config.inbound_endpoint)
+            capacity = bridge._inbox.window * os.sysconf("SC_PAGE_SIZE")
+            paths = []
+
+            def report(count):
+                events = []
+                for _ in range(count):
+                    path = f"/stop/f{len(paths)}"
+                    paths.append(path)
+                    events.append(
+                        FileEvent(EventType.CREATED, path, False, 0.0, "f", "lustre")
+                    )
+                return events
+
+            reports = [report(100) for _ in range(3)] + [report(4000)]
+            reports += [report(100) for _ in range(10)]
+            assert len(encode_report(reports[3])) > capacity
+            assert sum(len(encode_report(r)) for r in reports) > 2 * capacity
+            os.kill(proc.pid, signal.SIGSTOP)
+            # Should a step block on the child anyway, this kills the
+            # child so the step returns (late) and fails the bound.
+            guard = threading.Timer(5.0, proc.kill)
+            guard.start()
+            try:
+                for events in reports:
+                    push.send(events)
+                for _ in range(20):
+                    started = time.monotonic()
+                    bridge.pump_once()
+                    assert time.monotonic() - started < STEP_BUDGET
+                # What did not fit waits in the PULL mailbox.
+                assert bridge.inbound.pending > 0
+            finally:
+                guard.cancel()
+                os.kill(proc.pid, signal.SIGCONT)
+            got = []
+
+            def delivered():
+                bridge.pump_once()
+                try:
+                    for _topic, batch in sub.recv_many(block=False):
+                        got.extend(batch.entries)
+                except WouldBlock:
+                    pass
+                return len(got) >= len(paths) and not bridge.busy
+
+            assert wait_for(delivered, 30.0)
+            assert [event.path for _seq, event in got] == paths
+            assert [seq for seq, _event in got] == list(
+                range(1, len(paths) + 1)
+            )
+            assert bridge._proc is proc  # stopped, never respawned
+        finally:
             transport.close()
 
     def test_child_frames_are_handled_on_the_scheduler(self):

@@ -24,6 +24,7 @@ Covers the transport refactor end to end:
   shard-kill-under-load zero-loss property.
 """
 
+import threading
 import time
 
 import pytest
@@ -711,6 +712,36 @@ def _run_cluster_trace(transport_name, namespace):
 
 
 class TestMultiprocCluster:
+    def test_started_cluster_runs_no_queue_feeder_thread(self):
+        """A process hop is one pipe write by the producing thread: no
+        ``multiprocessing.Queue`` feeder thread carries the frames."""
+        fs = LustreFilesystem(
+            num_mds=2, mdts_per_mds=1, dne_policy=DnePolicy.ROUND_ROBIN
+        )
+        cluster = ClusterMonitor(
+            fs,
+            ClusterConfig(
+                num_shards=2, namespace="no-feeder", transport="multiproc"
+            ),
+        )
+        delivered = set()
+        cluster.subscribe(lambda seq, event: delivered.add(event.path))
+        cluster.start()
+        try:
+            for d in range(2):
+                fs.makedirs(f"/nf{d}")
+            created = {f"/nf{i % 2}/f{i}" for i in range(20)}
+            for path in sorted(created):
+                fs.create(path)
+            deadline = time.monotonic() + 20.0
+            while not created <= delivered and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert created <= delivered
+            names = [thread.name for thread in threading.enumerate()]
+            assert "QueueFeederThread" not in names
+        finally:
+            cluster.shutdown()
+
     def test_delivers_same_event_set_as_inproc(self):
         inproc_paths, inproc_count = _run_cluster_trace("inproc", "eq-in")
         multi_paths, multi_count = _run_cluster_trace("multiproc", "eq-mp")
