@@ -13,6 +13,11 @@ and delegates *durability* to a :class:`StoreBackend`:
   constructed over a non-empty log resumes exactly where the previous
   incarnation crashed.
 
+Backends trade in the store's own records
+(:func:`repro.msgq.framing.pack_entry` bytes): the store packs each
+event once, keeps the record in its window and hands the same bytes
+to ``append``; recovery hands records back without decoding them.
+
 Every hook is called by the store with its lock held (except
 ``recover``, which runs during construction before the store is
 shared), so backends may assume calls are serialised.
@@ -22,17 +27,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> storage)
-    from repro.core.events import FileEvent
+from typing import Dict, List, Sequence, Tuple, Union
 
 
 @dataclass
 class RecoveredState:
     """What a durable backend salvaged for the store at construction.
 
-    ``entries`` is the retained window — ``(seq, event)`` pairs in
+    ``entries`` is the retained window — ``(seq, record)`` pairs in
     sequence order, already capped at the store's ``max_events`` —
     and the counters restore the store's lifetime accounting:
     ``total_rotated`` is derived as ``total_stored - len(entries)``
@@ -40,7 +42,7 @@ class RecoveredState:
     beyond the window cap count as rotated.
     """
 
-    entries: List[Tuple[int, "FileEvent"]] = field(default_factory=list)
+    entries: List[Tuple[int, bytes]] = field(default_factory=list)
     next_seq: int = 1
     total_stored: int = 0
 
@@ -76,10 +78,10 @@ class StoreBackend(ABC):
         """
 
     @abstractmethod
-    def append(self, first_seq: int, events: Sequence["FileEvent"]) -> None:
-        """Persist one atomically-stored batch (contiguous sequence
-        numbers starting at *first_seq*), before the store's in-memory
-        window mutates — write-ahead order."""
+    def append(self, first_seq: int, records: Sequence[bytes]) -> None:
+        """Persist one atomically-stored batch of records (contiguous
+        sequence numbers starting at *first_seq*), before the store's
+        in-memory window mutates — write-ahead order."""
 
     def note_floor(self, floor_seq: int) -> None:
         """Rotation advanced the oldest retained seq to *floor_seq*;
@@ -91,13 +93,10 @@ class StoreBackend(ABC):
         the backend may discard that log prefix."""
 
     def adopt(
-        self,
-        entries: Sequence[Tuple[int, "FileEvent"]],
-        next_seq: int,
-        total_stored: int,
+        self, records: Sequence[bytes], next_seq: int, total_stored: int
     ) -> None:
-        """Replace the log's contents with a restored window (the
-        ``EventStore.load`` path), so the log alone reproduces the
+        """Replace the log's contents with a restored window of records
+        (the ``EventStore.load`` path), so the log alone reproduces the
         restored store from now on."""
 
     def sync(self) -> None:

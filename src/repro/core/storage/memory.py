@@ -8,13 +8,13 @@ hypothesis property in ``tests/test_storage.py``.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 from repro.core.storage.base import RecoveredState, StoreBackend
 
 
 class MemoryBackend(StoreBackend):
-    """No durability: the bounded deque in the store is the only copy."""
+    """No durability: the records in the store's window are the only copy."""
 
     durable = False
     scheme = "memory"
@@ -22,13 +22,10 @@ class MemoryBackend(StoreBackend):
     def recover(self, max_events: int) -> Union[RecoveredState, None]:
         return None
 
-    def append(self, first_seq: int, events: Sequence) -> None:
+    def append(self, first_seq: int, records: Sequence[bytes]) -> None:
         pass
 
     def adopt(
-        self,
-        entries: Sequence[Tuple[int, object]],
-        next_seq: int,
-        total_stored: int,
+        self, records: Sequence[bytes], next_seq: int, total_stored: int
     ) -> None:
         pass

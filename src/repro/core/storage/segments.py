@@ -8,9 +8,11 @@ Layout on disk (one directory per store):
     with a 16-byte header — magic ``RSEG``, the record-layout version,
     and the base sequence number at creation — followed by framed
     records: ``u32 body_len + u32 crc32(body) + body`` where *body* is
-    :func:`repro.msgq.framing.pack_entry` (the same flattened field
-    order as the marshal wire codec, struct-packed for version
-    stability).
+    the store's own record, :func:`repro.msgq.framing.pack_entry`
+    (the same flattened field order as the marshal wire codec,
+    struct-packed for version stability).  The store packs each event
+    once and keeps the same bytes in its window; this backend only
+    frames them.
 
 ``checkpoint.json``
     Atomically replaced (tmp + ``os.replace``) watermark
@@ -39,7 +41,10 @@ segment at its first torn record, and dedups by sequence number with
 **last wins** — so when a restarted shard child trims past the
 parent's ack watermark (``discard_after``) and replayed batches
 re-append the same sequence numbers, the replayed records shadow the
-orphans and the rebuilt window equals the delivered history.
+orphans and the rebuilt window equals the delivered history.  It
+decodes nothing: a record's CRC vouches for it and its sequence
+number sits at a fixed offset, so the store gets back the very bytes
+it wrote.
 """
 
 from __future__ import annotations
@@ -55,7 +60,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.storage.base import RecoveredState, StoreBackend
-from repro.msgq.framing import RECORD_LAYOUT_VERSION, pack_entry, unpack_entry
+from repro.msgq.framing import (
+    RECORD_LAYOUT_VERSION,
+    RECORD_MIN_BYTES,
+    record_seq,
+)
+
+# The record codec stays importable from here by name: perfbench's
+# tracer wraps ``pack_entry``/``unpack_entry`` in this module.
+from repro.msgq.framing import pack_entry, unpack_entry  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +85,15 @@ _CHECKPOINT_NAME = "checkpoint.json"
 FSYNC_POLICIES = ("never", "rotate", "always")
 
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
+
+
+def _framed(records: Sequence[bytes]) -> bytes:
+    """*records* as one blob of ``len + crc32 + body`` frames."""
+    chunks = []
+    for body in records:
+        chunks.append(_FRAME.pack(len(body), zlib.crc32(body)))
+        chunks.append(body)
+    return b"".join(chunks)
 
 
 @dataclass
@@ -266,7 +288,7 @@ class SegmentLogBackend(StoreBackend):
 
     def recover(self, max_events: int) -> Union[RecoveredState, None]:
         with self._lock:
-            records: Dict[int, object] = {}
+            records: Dict[int, bytes] = {}
             for file_no, path in self._list_segment_files():
                 first, last = self._scan_segment(path, records)
                 self._segments.append(
@@ -295,13 +317,14 @@ class SegmentLogBackend(StoreBackend):
             )
 
     def _scan_segment(
-        self, path: str, records: Dict[int, object]
+        self, path: str, records: Dict[int, bytes]
     ) -> Tuple[int, int]:
-        """Replay one segment into *records* (last-wins by seq).
+        """Replay one segment's records into *records* (last-wins by seq).
 
         Returns the (first_seq, last_seq) actually parsed, (0, 0) for a
         record-free segment.  Stops at the first torn record: a frame
-        that runs past EOF, fails its CRC, or does not decode.
+        that runs past EOF, fails its CRC, or is too short to hold a
+        record's fixed prefix.  No record is decoded.
         """
         first_seq = last_seq = 0
         size = os.path.getsize(path)
@@ -329,18 +352,11 @@ class SegmentLogBackend(StoreBackend):
                         self.torn_records += 1
                         break
                     body = mm[start:end]
-                    if zlib.crc32(body) != crc:
+                    if zlib.crc32(body) != crc or body_len < RECORD_MIN_BYTES:
                         self.torn_records += 1
                         break
-                    try:
-                        seq, event, consumed = unpack_entry(body)
-                    except (struct.error, IndexError, ValueError):
-                        self.torn_records += 1
-                        break
-                    if consumed != body_len:
-                        self.torn_records += 1
-                        break
-                    records[seq] = event
+                    seq = record_seq(body)
+                    records[seq] = body
                     if first_seq == 0:
                         first_seq = seq
                     last_seq = seq
@@ -349,19 +365,14 @@ class SegmentLogBackend(StoreBackend):
                 mm.close()
         return first_seq, last_seq
 
-    def append(self, first_seq: int, events: Sequence) -> None:
-        if not events:
+    def append(self, first_seq: int, records: Sequence[bytes]) -> None:
+        if not records:
             return
         with self._lock:
             if self._closed:
                 raise ValueError("backend is closed")
             self._ensure_active(first_seq)
-            chunks = []
-            for index, event in enumerate(events):
-                body = pack_entry(first_seq + index, event)
-                chunks.append(_FRAME.pack(len(body), zlib.crc32(body)))
-                chunks.append(body)
-            blob = b"".join(chunks)
+            blob = _framed(records)
             self._active_file.write(blob)
             # Always reach the kernel page cache: a SIGKILL'd process
             # loses at most a torn tail, never a flushed batch.
@@ -371,9 +382,9 @@ class SegmentLogBackend(StoreBackend):
             self._active_size += len(blob)
             if self._active_first_seq == 0:
                 self._active_first_seq = first_seq
-            self._active_last_seq = first_seq + len(events) - 1
+            self._active_last_seq = first_seq + len(records) - 1
             self.appends += 1
-            self.records_appended += len(events)
+            self.records_appended += len(records)
             if self._active_size >= self.segment_bytes:
                 self._rotate()
                 if self.compact_interval == 0:
@@ -412,10 +423,7 @@ class SegmentLogBackend(StoreBackend):
             self._segments = survivors
 
     def adopt(
-        self,
-        entries: Sequence[Tuple[int, object]],
-        next_seq: int,
-        total_stored: int,
+        self, records: Sequence[bytes], next_seq: int, total_stored: int
     ) -> None:
         with self._lock:
             self._close_active(fsync=False)
@@ -427,27 +435,23 @@ class SegmentLogBackend(StoreBackend):
                     os.unlink(path)
                 except OSError:
                     pass
-            self._ckpt_seq = (entries[0][0] - 1) if entries else next_seq - 1
-            self._ckpt_stored = total_stored - len(entries)
+            first_seq = record_seq(records[0]) if records else next_seq
+            self._ckpt_seq = first_seq - 1
+            self._ckpt_stored = total_stored - len(records)
             self._ckpt_next_seq = next_seq
             self._write_checkpoint()
-            if entries:
-                self._ensure_active(entries[0][0])
-                chunks = []
-                for seq, event in entries:
-                    body = pack_entry(seq, event)
-                    chunks.append(_FRAME.pack(len(body), zlib.crc32(body)))
-                    chunks.append(body)
-                blob = b"".join(chunks)
+            if records:
+                self._ensure_active(first_seq)
+                blob = _framed(records)
                 self._active_file.write(blob)
                 self._active_file.flush()
                 if self.fsync_policy != "never":
                     self._fsync_active()
                 self._active_size += len(blob)
-                self._active_first_seq = entries[0][0]
-                self._active_last_seq = entries[-1][0]
-                self.records_appended += len(entries)
-                self._floor_seq = entries[0][0]
+                self._active_first_seq = first_seq
+                self._active_last_seq = record_seq(records[-1])
+                self.records_appended += len(records)
+                self._floor_seq = first_seq
 
     def sync(self) -> None:
         with self._lock:

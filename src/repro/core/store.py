@@ -18,6 +18,16 @@ operation counters (``lock_acquisitions``, ``events_scanned``):
   left), so :meth:`since` locates its start position with index
   arithmetic (a degenerate bisect) instead of scanning the whole deque,
   and honors ``limit`` during the scan.
+
+**The window holds records, not objects.**  Each event is kept as the
+fixed-layout binary record of :func:`repro.msgq.framing.pack_entry` —
+the very bytes a segment-log backend writes — packed once by
+:meth:`extend`.  The index, rotation and the type and time filters
+read the record's fixed prefix (sequence number, timestamp, type code)
+in place, and a read decodes only the entries it returns.  A record
+is one untracked ``bytes`` object: about a third of the memory of a
+live :class:`FileEvent` and its ``(seq, event)`` tuple, and nothing
+for the cyclic garbage collector to walk.
 """
 
 from __future__ import annotations
@@ -29,16 +39,25 @@ from heapq import merge
 from itertools import islice
 from typing import Deque, Dict, Iterable, Optional
 
-from repro.core.events import EventType, FileEvent, prefix_probe
+from repro.core.events import EventType, FileEvent
 from repro.core.storage.base import StoreBackend
 from repro.core.storage.memory import MemoryBackend
+from repro.msgq.framing import (
+    decode_records,
+    pack_entry,
+    record_prefix_matcher,
+    record_seq,
+    record_timestamp,
+    record_type_code,
+    type_code,
+)
 
-#: Bytes one retained event costs: the slotted FileEvent, its strings,
-#: and the ``(seq, event)`` entry shared by the window and its type
-#: bucket.  Measured with ``tracemalloc`` by decoding marshal-framed
-#: Lustre events (~50-character paths, FID strings) into a store;
+#: Bytes one retained event costs: its record (a ``bytes`` object)
+#: plus its slots in the window and in its type bucket.  Measured with
+#: ``tracemalloc`` by decoding marshal-framed Lustre events
+#: (~50-character paths, FID strings) into a store;
 #: ``tests/test_store_memory.py`` holds the estimate to the measurement.
-BYTES_PER_EVENT = 600
+BYTES_PER_EVENT = 220
 
 
 class _SeqView:
@@ -49,18 +68,18 @@ class _SeqView:
     O(log n) indexed probes instead of a full scan.
     """
 
-    def __init__(self, events: Deque[tuple[int, FileEvent]]) -> None:
+    def __init__(self, events: Deque[bytes]) -> None:
         self._events = events
 
     def __len__(self) -> int:
         return len(self._events)
 
     def __getitem__(self, index: int) -> int:
-        return self._events[index][0]
+        return record_seq(self._events[index])
 
 
 class _TypeBucket:
-    """The per-:class:`EventType` index: ``(seq, event)`` entries.
+    """The per-:class:`EventType` index: the type's records.
 
     Entries are appended in sequence order, so the list is sorted by
     both sequence number and (when the store's timestamps are monotone)
@@ -72,7 +91,7 @@ class _TypeBucket:
     __slots__ = ("entries", "head")
 
     def __init__(self) -> None:
-        self.entries: list[tuple[int, FileEvent]] = []
+        self.entries: list[bytes] = []
         self.head = 0
 
     def __len__(self) -> int:
@@ -102,7 +121,7 @@ class _TypeBucket:
         entries = self.entries
         while lo < hi:
             mid = (lo + hi) // 2
-            ts = entries[mid][1].timestamp
+            ts = record_timestamp(entries[mid])
             if ts < t or (right and ts == t):
                 lo = mid + 1
             else:
@@ -119,7 +138,7 @@ class EventStore:
 
     Besides the contiguous-window arithmetic behind :meth:`since`, the
     store maintains **per-event-type buckets** (sequence-ordered
-    ``(seq, event)`` lists) and tracks whether append timestamps have
+    lists of the window's records) and tracks whether append timestamps have
     stayed monotone — :meth:`query` uses both to scan only the entries
     a filter can actually match instead of the whole retained window.
 
@@ -143,7 +162,8 @@ class EventStore:
         self.max_events = max_events
         self.backend = backend if backend is not None else MemoryBackend()
         self._lock = threading.Lock()
-        self._events: Deque[tuple[int, FileEvent]] = deque()
+        #: The retained window: one record per event, in seq order.
+        self._events: Deque[bytes] = deque()
         self._next_seq = 1
         self.total_stored = 0
         self.total_rotated = 0
@@ -151,13 +171,13 @@ class EventStore:
         # collectively represent (mismatch with len(_events) => a
         # hand-mutated window; rebuilt lazily), and timestamp
         # monotonicity tracking for the time-window binary search.
-        self._by_type: Dict[EventType, _TypeBucket] = {}
+        self._by_type: Dict[int, _TypeBucket] = {}
         self._indexed_events = 0
         self._index_dirty = False
         self._ts_monotone = True
         self._last_ts = float("-inf")
         #: Operation counters: how often the store lock was taken and how
-        #: many (seq, event) pairs retrieval scans have touched.  The
+        #: many stored events retrieval scans have touched.  The
         #: ingest micro-benchmark asserts batching keeps both O(batches),
         #: not O(events); the query benchmark asserts indexed queries
         #: touch only candidate entries, not the window.
@@ -165,7 +185,7 @@ class EventStore:
         self.events_scanned = 0
         recovered = self.backend.recover(max_events)
         if recovered is not None:
-            self._events.extend(recovered.entries)
+            self._events.extend(record for _seq, record in recovered.entries)
             self._next_seq = recovered.next_seq
             self.total_stored = recovered.total_stored
             self.total_rotated = recovered.total_rotated
@@ -180,7 +200,9 @@ class EventStore:
 
         One lock acquisition per call: the batch receives a contiguous
         run of sequence numbers, so concurrent extenders can never
-        interleave their numbering within a batch.
+        interleave their numbering within a batch.  Each event is
+        packed once into its record, which both the backend and the
+        window keep.
 
         Write-ahead order: the batch reaches the durability backend
         *before* any in-memory state mutates, so a backend failure
@@ -192,29 +214,44 @@ class EventStore:
         with self._lock:
             self.lock_acquisitions += 1
             first = self._next_seq
-            self.backend.append(first, events)
+            records = [
+                pack_entry(seq, event)
+                for seq, event in enumerate(events, first)
+            ]
+            self.backend.append(first, records)
             self._next_seq += len(events)
-            for offset, event in enumerate(events):
-                entry = (first + offset, event)
-                self._events.append(entry)
-                bucket = self._by_type.get(event.event_type)
+            self._events.extend(records)
+            for record, event in zip(records, events):
+                code = record_type_code(record)
+                bucket = self._by_type.get(code)
                 if bucket is None:
-                    bucket = self._by_type[event.event_type] = _TypeBucket()
-                bucket.entries.append(entry)
-                self._indexed_events += 1
+                    bucket = self._by_type[code] = _TypeBucket()
+                bucket.entries.append(record)
                 if event.timestamp < self._last_ts:
                     self._ts_monotone = False
                 else:
                     self._last_ts = event.timestamp
+            self._indexed_events += len(records)
             self.total_stored += len(events)
             overflow = len(self._events) - self.max_events
             if overflow > 0:
                 for _ in range(overflow):
-                    seq, event = self._events.popleft()
-                    self._evict_from_bucket(seq, event)
+                    self._evict_from_bucket(self._events.popleft())
                 self.total_rotated += overflow
-                self.backend.note_floor(self._events[0][0])
+                self.backend.note_floor(record_seq(self._events[0]))
             return list(range(first, first + len(events)))
+
+    def resume_at(self, seq: int) -> None:
+        """Number the next stored event *seq* or later.
+
+        The restart primitive for a fresh store that continues an
+        acked history it does not hold (a respawned shard child): the
+        sequence counter only moves forward, so numbers already issued
+        are never reused.
+        """
+        with self._lock:
+            self.lock_acquisitions += 1
+            self._next_seq = max(self._next_seq, seq)
 
     def discard_after(self, seq: int) -> int:
         """Drop retained entries with sequence > *seq* and rewind numbering.
@@ -233,7 +270,7 @@ class EventStore:
         with self._lock:
             self.lock_acquisitions += 1
             dropped = 0
-            while self._events and self._events[-1][0] > seq:
+            while self._events and record_seq(self._events[-1]) > seq:
                 self._events.pop()
                 dropped += 1
             if dropped:
@@ -249,15 +286,15 @@ class EventStore:
 
     # -- query index maintenance --------------------------------------------
 
-    def _evict_from_bucket(self, seq: int, event: FileEvent) -> None:
-        """Advance the evicted event's bucket head (rotation upkeep)."""
+    def _evict_from_bucket(self, record: bytes) -> None:
+        """Advance the evicted record's bucket head (rotation upkeep)."""
         if self._index_dirty:
             return
-        bucket = self._by_type.get(event.event_type)
+        bucket = self._by_type.get(record_type_code(record))
         if (
             bucket is None
             or bucket.head >= len(bucket.entries)
-            or bucket.entries[bucket.head][0] != seq
+            or bucket.entries[bucket.head] is not record
         ):
             # The window was mutated behind the store's back (hand-built
             # restore); rebuild lazily on the next query.
@@ -272,16 +309,17 @@ class EventStore:
         self._by_type = {}
         self._ts_monotone = True
         self._last_ts = float("-inf")
-        for entry in self._events:
-            event = entry[1]
-            bucket = self._by_type.get(event.event_type)
+        for record in self._events:
+            code = record_type_code(record)
+            bucket = self._by_type.get(code)
             if bucket is None:
-                bucket = self._by_type[event.event_type] = _TypeBucket()
-            bucket.entries.append(entry)
-            if event.timestamp < self._last_ts:
+                bucket = self._by_type[code] = _TypeBucket()
+            bucket.entries.append(record)
+            timestamp = record_timestamp(record)
+            if timestamp < self._last_ts:
                 self._ts_monotone = False
             else:
-                self._last_ts = event.timestamp
+                self._last_ts = timestamp
         self._indexed_events = len(self._events)
         self._index_dirty = False
 
@@ -297,8 +335,8 @@ class EventStore:
         """
         if not self._events:
             return 0
-        oldest = self._events[0][0]
-        newest = self._events[-1][0]
+        oldest = record_seq(self._events[0])
+        newest = record_seq(self._events[-1])
         if newest - oldest == len(self._events) - 1:  # contiguous
             return min(max(seq - oldest + 1, 0), len(self._events))
         return bisect_right(_SeqView(self._events), seq)
@@ -309,6 +347,8 @@ class EventStore:
         Indexed: events at or below *seq* are never touched, and
         *limit* bounds the scan itself, not a post-filter — so catching
         up near the head of a full store is O(limit), not O(window).
+        Only the returned records are decoded, after the lock is
+        released.
         """
         with self._lock:
             self.lock_acquisitions += 1
@@ -318,7 +358,7 @@ class EventStore:
                 stop = min(stop, start + max(limit, 0))
             matched = list(islice(self._events, start, stop))
             self.events_scanned += len(matched)
-        return matched
+        return decode_records(matched)
 
     def recent(self, count: int) -> list[tuple[int, FileEvent]]:
         """The most recent *count* events, oldest first."""
@@ -331,14 +371,14 @@ class EventStore:
             start = max(len(self._events) - count, 0)
             matched = list(islice(self._events, start, len(self._events)))
             self.events_scanned += len(matched)
-        return matched
+        return decode_records(matched)
 
     def _query_candidates(
         self,
-        event_type: Optional[EventType],
+        code: Optional[int],
         since_time: Optional[float],
         until_time: Optional[float],
-    ) -> Iterable[tuple[int, FileEvent]]:
+    ) -> Iterable[bytes]:
         """Narrowest indexed candidate stream for a query (lock held).
 
         * A type filter selects that type's bucket; a time window over a
@@ -348,8 +388,8 @@ class EventStore:
           merges the slices back into sequence order.
         * Otherwise the whole retained window is the candidate set.
         """
-        if event_type is not None:
-            bucket = self._by_type.get(event_type)
+        if code is not None:
+            bucket = self._by_type.get(code)
             if bucket is None:
                 return ()
             if self._ts_monotone and (
@@ -375,7 +415,7 @@ class EventStore:
                 return ()
             if len(streams) == 1:
                 return streams[0]
-            return merge(*streams, key=lambda entry: entry[0])
+            return merge(*streams, key=record_seq)
         return self._events
 
     def query(
@@ -394,7 +434,8 @@ class EventStore:
         ``events_scanned`` grows with the candidate set, not the
         retained window.  The filters are still applied to every
         candidate (the index only prunes), so results are identical to
-        a full linear scan.
+        a full linear scan.  Every filter reads the record in place;
+        only the matches are decoded, after the lock is released.
 
         The scan runs under the lock — like :meth:`since` and
         :meth:`recent` — so ``events_scanned`` updates atomically with
@@ -404,28 +445,30 @@ class EventStore:
             self.lock_acquisitions += 1
             if self._index_dirty or self._indexed_events != len(self._events):
                 self._rebuild_index()
-            probe = (
-                prefix_probe(path_prefix) if path_prefix is not None else None
+            code = type_code(event_type) if event_type is not None else None
+            under_prefix = (
+                record_prefix_matcher(path_prefix)
+                if path_prefix is not None
+                else None
             )
-            results: list[tuple[int, FileEvent]] = []
-            for seq, event in self._query_candidates(
-                event_type, since_time, until_time
-            ):
+            timed = since_time is not None or until_time is not None
+            results: list[bytes] = []
+            for record in self._query_candidates(code, since_time, until_time):
                 self.events_scanned += 1
-                if event_type is not None and event.event_type is not event_type:
+                if code is not None and record_type_code(record) != code:
                     continue
-                if since_time is not None and event.timestamp < since_time:
+                if timed:
+                    timestamp = record_timestamp(record)
+                    if since_time is not None and timestamp < since_time:
+                        continue
+                    if until_time is not None and timestamp > until_time:
+                        continue
+                if under_prefix is not None and not under_prefix(record):
                     continue
-                if until_time is not None and event.timestamp > until_time:
-                    continue
-                if path_prefix is not None and not event.matches_prefix(
-                    path_prefix, probe
-                ):
-                    continue
-                results.append((seq, event))
+                results.append(record)
                 if limit is not None and len(results) >= limit:
                     break
-        return results
+        return decode_records(results)
 
     # -- introspection ----------------------------------------------------------
 
@@ -443,7 +486,7 @@ class EventStore:
     def oldest_retained_seq(self) -> Optional[int]:
         """Sequence number of the oldest retained event (None if empty)."""
         with self._lock:
-            return self._events[0][0] if self._events else None
+            return record_seq(self._events[0]) if self._events else None
 
     def reset_op_counters(self) -> None:
         """Zero the lock/scan operation counters (benchmark hygiene)."""
@@ -481,7 +524,7 @@ class EventStore:
                                      "max_events": self.max_events,
                                      "total_stored": total_stored,
                                      "total_rotated": total_rotated}) + "\n")
-            for seq, event in snapshot:
+            for seq, event in decode_records(snapshot):
                 handle.write(
                     json.dumps({"seq": seq, "event": event.to_dict()}) + "\n"
                 )
@@ -509,15 +552,13 @@ class EventStore:
         """
         import json
 
-        from repro.core.events import FileEvent
-
         with open(path, "r", encoding="utf-8") as handle:
             header = json.loads(handle.readline())
             store = cls(max_events=header["max_events"])
             for line in handle:
                 entry = json.loads(line)
                 store._events.append(
-                    (entry["seq"], FileEvent.from_dict(entry["event"]))
+                    pack_entry(entry["seq"], FileEvent.from_dict(entry["event"]))
                 )
             store._next_seq = header["next_seq"]
             # Restore lifetime counters.  Files written before the
@@ -534,9 +575,9 @@ class EventStore:
             if recovered is not None:
                 snapshot_last = store._next_seq - 1
                 fresh = [
-                    entry
-                    for entry in recovered.entries
-                    if entry[0] > snapshot_last
+                    record
+                    for seq, record in recovered.entries
+                    if seq > snapshot_last
                 ]
                 store._events.extend(fresh)
                 store.total_stored += len(fresh)

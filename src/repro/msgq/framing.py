@@ -19,13 +19,15 @@ future wire types) fall back to pickle, flagged by a one-byte prefix;
 the control plane (API requests/replies, exceptions) always uses
 pickle since it carries arbitrary objects and is off the hot path.
 
-The durable segment log (``repro.core.storage.segments``) shares the
-same flattened field order through :func:`pack_entry` /
-:func:`unpack_entry` — a *version-stable* fixed-layout binary record
-(``struct``-packed primitives, length-prefixed UTF-8 strings) that,
-unlike marshal, is safe to read back across interpreter upgrades.
-One field order, two codecs: marshal for the process boundary,
-struct for disk.
+The event store (``repro.core.store``) and its durable segment log
+(``repro.core.storage.segments``) share the same flattened field order
+through :func:`pack_entry` / :func:`unpack_entry` — a *version-stable*
+fixed-layout binary record (``struct``-packed primitives,
+length-prefixed UTF-8 strings) that, unlike marshal, is safe to read
+back across interpreter upgrades.  The store's window holds these very
+records; the ``record_*`` helpers read a record's fixed prefix and test
+its path without decoding it.  One field order, two codecs: marshal
+for the process boundary, struct for the store and disk.
 """
 
 from __future__ import annotations
@@ -36,7 +38,13 @@ import pickle
 import struct
 from typing import Any, Optional
 
-from repro.core.events import EventBatch, EventType, FileEvent, ReportBatch
+from repro.core.events import (
+    EventBatch,
+    EventType,
+    FileEvent,
+    ReportBatch,
+    prefix_probe,
+)
 
 _MARSHAL = b"M"
 _PICKLE = b"P"
@@ -210,6 +218,11 @@ _STRING_FIELDS = (
     "path", "name", "source", "fid", "parent_fid",
     "record_type", "old_path", "jobid",
 )
+_STRING_BITS = tuple(1 << bit for bit in range(len(_STRING_FIELDS)))
+#: The fields :meth:`FileEvent.matches_prefix` tests.
+_PREFIX_BITS = tuple(
+    1 << _STRING_FIELDS.index(field) for field in ("path", "old_path")
+)
 
 
 def pack_entry(seq: int, event: FileEvent) -> bytes:
@@ -219,38 +232,33 @@ def pack_entry(seq: int, event: FileEvent) -> bytes:
     length-prefixed UTF-8 — no marshal/pickle — so a segment log
     written by one interpreter is readable by the next.
     """
-    flags = 0
-    if event.is_dir:
-        flags |= _FLAG_IS_DIR
-    if event.mdt_index is not None:
+    flags = _FLAG_IS_DIR if event.is_dir else 0
+    mdt_index, record_index = event.mdt_index, event.record_index
+    if mdt_index is not None:
         flags |= _FLAG_MDT
-    if event.record_index is not None:
+    if record_index is not None:
         flags |= _FLAG_RECORD_INDEX
-    out = bytearray(
-        _RECORD_FIXED.pack(
-            seq,
-            event.timestamp,
-            _CODE_BY_TYPE[event.event_type],
-            flags,
-            event.mdt_index or 0,
-            event.record_index or 0,
-        )
-    )
+    parts = [b"", b""]
     mask = 0
-    encoded: list[Optional[bytes]] = []
-    for bit, field in enumerate(_STRING_FIELDS):
-        value = getattr(event, field)
-        if value is None:
-            encoded.append(None)
-        else:
-            mask |= 1 << bit
-            encoded.append(value.encode("utf-8"))
-    out.append(mask)
-    for data in encoded:
-        if data is not None:
-            out += _STRING_LEN.pack(len(data))
-            out += data
-    return bytes(out)
+    for bit, value in zip(_STRING_BITS, (
+        event.path, event.name, event.source, event.fid, event.parent_fid,
+        event.record_type, event.old_path, event.jobid,
+    )):
+        if value is not None:
+            mask |= bit
+            data = value.encode("utf-8")
+            parts.append(_STRING_LEN.pack(len(data)))
+            parts.append(data)
+    parts[0] = _RECORD_FIXED.pack(
+        seq,
+        event.timestamp,
+        _CODE_BY_TYPE[event.event_type],
+        flags,
+        mdt_index or 0,
+        record_index or 0,
+    )
+    parts[1] = bytes((mask,))
+    return b"".join(parts)
 
 
 def unpack_entry(buffer, offset: int = 0) -> tuple[int, FileEvent, int]:
@@ -258,30 +266,28 @@ def unpack_entry(buffer, offset: int = 0) -> tuple[int, FileEvent, int]:
     memoryview); returns ``(seq, event, next_offset)``.
 
     Raises ``struct.error`` / ``IndexError`` on a truncated buffer and
-    ``ValueError`` on garbage — recovery treats all three as a torn
-    tail record.
+    ``ValueError`` on garbage.
     """
-    seq, timestamp, type_code, flags, mdt_index, record_index = (
+    seq, timestamp, code, flags, mdt_index, record_index = (
         _RECORD_FIXED.unpack_from(buffer, offset)
     )
     offset += _RECORD_FIXED.size
     mask = buffer[offset]
     offset += 1
+    size = len(buffer)
     strings: list[Optional[str]] = []
-    for bit in range(len(_STRING_FIELDS)):
-        if mask & (1 << bit):
-            (length,) = _STRING_LEN.unpack_from(buffer, offset)
-            offset += _STRING_LEN.size
-            end = offset + length
-            if end > len(buffer):
+    for bit in _STRING_BITS:
+        if mask & bit:
+            start = offset + _STRING_LEN.size
+            offset = start + _STRING_LEN.unpack_from(buffer, offset)[0]
+            if offset > size:
                 raise ValueError("truncated string field")
-            strings.append(bytes(buffer[offset:end]).decode("utf-8"))
-            offset = end
+            strings.append(str(buffer[start:offset], "utf-8"))
         else:
             strings.append(None)
     path, name, source, fid, parent_fid, record_type, old_path, jobid = strings
     event = _build_event((
-        _TYPE_BY_CODE[type_code],
+        _TYPE_BY_CODE[code],
         path,
         bool(flags & _FLAG_IS_DIR),
         timestamp,
@@ -296,3 +302,85 @@ def unpack_entry(buffer, offset: int = 0) -> tuple[int, FileEvent, int]:
         jobid,
     ))
     return seq, event, offset
+
+
+# -- reading a record without decoding it ------------------------------------
+#
+# The event store keeps its window as these records, so its index,
+# rotation and filters read the fixed prefix in place: sequence number
+# at offset 0, timestamp at 8, type code at 16.
+
+_SEQ = struct.Struct("<Q")
+_TIMESTAMP = struct.Struct("<d")
+_TYPE_OFFSET = 16
+_MASK_OFFSET = _RECORD_FIXED.size
+
+#: Shortest well-formed record: the fixed prefix and the string mask.
+RECORD_MIN_BYTES = _RECORD_FIXED.size + 1
+
+
+def record_seq(record) -> int:
+    """The sequence number of a record."""
+    return _SEQ.unpack_from(record, 0)[0]
+
+
+def record_timestamp(record) -> float:
+    """The event timestamp of a record."""
+    return _TIMESTAMP.unpack_from(record, 8)[0]
+
+
+def record_type_code(record) -> int:
+    """The event-type code of a record (see :func:`type_code`)."""
+    return record[_TYPE_OFFSET]
+
+
+def type_code(event_type: EventType) -> int:
+    """The code a record stores for *event_type*."""
+    return _CODE_BY_TYPE[event_type]
+
+
+def decode_records(records) -> list[tuple[int, FileEvent]]:
+    """Decode whole records into ``(seq, event)`` entries."""
+    return [unpack_entry(record)[:2] for record in records]
+
+
+def _string_span(record, mask: int, bit: int) -> tuple[int, int]:
+    """``(start, end)`` of the string field *bit* (present in *mask*)."""
+    offset = _MASK_OFFSET + 1
+    for earlier in _STRING_BITS:
+        if earlier == bit:
+            break
+        if mask & earlier:
+            length = _STRING_LEN.unpack_from(record, offset)[0]
+            offset += _STRING_LEN.size + length
+    start = offset + _STRING_LEN.size
+    return start, start + _STRING_LEN.unpack_from(record, offset)[0]
+
+
+def record_prefix_matcher(prefix: str):
+    """A predicate on records: :meth:`FileEvent.matches_prefix` for
+    *prefix*, tested on the UTF-8 bytes of ``path`` and ``old_path``.
+
+    UTF-8 keeps ``str`` prefix order (a byte prefix that is a whole
+    encoding is a code-point prefix), so the answer equals the decoded
+    event's; no string is decoded.
+    """
+    root = prefix == "/"
+    exact = prefix.encode("utf-8")
+    probe = prefix_probe(prefix).encode("utf-8")
+
+    def matches(record) -> bool:
+        mask = record[_MASK_OFFSET]
+        for bit in _PREFIX_BITS:
+            if not mask & bit:
+                continue
+            if root:
+                return True
+            start, end = _string_span(record, mask, bit)
+            if record.startswith(probe, start, end) or (
+                end - start == len(exact) and record.startswith(exact, start)
+            ):
+                return True
+        return False
+
+    return matches

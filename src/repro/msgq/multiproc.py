@@ -34,11 +34,12 @@ loss-free path, as for a PUB message missed by a slow joiner.)
 runs on the process scheduler with every other woken step.  Its
 ``bridge`` worker is rung by its own PULL and REP sockets (a report or
 a request arriving) and by a ``reader`` thread, which only blocks on
-the child's output pipe and its process sentinel: it reads the frames
+the child's output pipe, its process sentinel and a self-pipe that a
+stop and every respawn write, with no timeout: it reads the frames
 with ``recv_bytes``, hands them over and rings the bridge, so every
-frame is handled on the scheduler.  Acks, publications and replies are
-handled as they arrive, a child that dies is respawned at once, and
-reports or requests held back by a full child inbox (they stay in
+frame is handled on the scheduler.  Acks, publications and replies
+are handled as they arrive, a child that dies is respawned at once,
+and reports or requests held back by a full child inbox (they stay in
 their mailbox) move on as soon as the child catches up.
 
 **One pipe write per hop.**  Each direction is one one-way
@@ -69,6 +70,7 @@ import fcntl
 import marshal
 import mmap
 import multiprocessing
+import os
 import pickle
 import struct
 import termios
@@ -107,10 +109,6 @@ DEFAULT_RELAY_INTERVAL = 0.25
 #: sees the pipe empty again (the pipe's capacity bounds it too); the
 #: rest wait in the PULL socket, whose credits push back on collectors.
 DEFAULT_INBOX_FRAMES = 64
-
-#: Longest the reader worker blocks on the child before re-checking
-#: for a stop (seconds): stopping a bridge waits up to this long.
-_READER_TIMEOUT = 0.05
 
 #: Most frames the reader hands over per ring, so a streaming child
 #: cannot keep the handoff lock from the pump.
@@ -286,9 +284,7 @@ def _shard_main(spec: ShardChildSpec, inbox, outbox) -> None:
     elif spec.start_seq > 1:
         # Resume the sequence space where the acked history ended, so
         # replayed in-flight batches get their original numbers.
-        aggregator.store._next_seq = max(
-            aggregator.store._next_seq, spec.start_seq
-        )
+        aggregator.store.resume_at(spec.start_seq)
     if spec.flush_batch_events is not None:
         aggregator.flush_batch_events = spec.flush_batch_events
     capture = (
@@ -428,9 +424,15 @@ class ProcessShardBridge(Service):
         #: ``_handoff_lock`` and lands here before any later one.
         self._handoff: deque = deque()
         self._handoff_lock = threading.Lock()
-        #: Set by every (re)spawn: the reader waits on it after seeing
-        #: the child die, instead of spinning on the dead sentinel.
+        #: Set by every (re)spawn: a caller that waits on the child
+        #: while it is being replaced waits on this instead.
         self._respawned = threading.Event()
+        #: The reader's self-pipe, written by a stop and by every
+        #: (re)spawn: the reader blocks on it beside the child's pipe
+        #: and sentinel, with no timeout.
+        self._ring_r, self._ring_w = os.pipe()
+        os.set_blocking(self._ring_r, False)
+        os.set_blocking(self._ring_w, False)
         self._bid_counter = count(1)
         self._rid_counter = count(1)
         #: Forwarded-but-unacked batches, by batch id, in send order.
@@ -558,6 +560,7 @@ class ProcessShardBridge(Service):
         )
         self._tuning_dirty = self._flush_batch_events != self.config.batch_events
         self._respawned.set()
+        self._ring_reader()
 
     def _discard_pipes(self) -> None:
         with self._handoff_lock:
@@ -843,33 +846,57 @@ class ProcessShardBridge(Service):
         except (OSError, ValueError):
             return [None]
 
+    def _ring_reader(self) -> None:
+        # A full pipe already holds a ring; a closed bridge has no reader.
+        if self._ring_w is not None:
+            with contextlib.suppress(BlockingIOError):
+                os.write(self._ring_w, b"\0")
+
+    def _drain_rings(self) -> None:
+        with contextlib.suppress(BlockingIOError):
+            while os.read(self._ring_r, 4096):
+                pass
+
+    def _await(self, handles: list) -> list:
+        """Block until one of *handles* (and the self-pipe) is ready.
+        A handle closed under the wait by a respawn counts as a ring."""
+        try:
+            return wait([*handles, self._ring_r])
+        except (OSError, ValueError):
+            return [self._ring_r]
+
     def _read_child(self) -> None:
         """Reader step: wait for the child, hand its frames over, ring.
 
         The reader never handles a frame itself — the bridge step does,
-        on the scheduler.  After the child dies it rings once and waits
-        for the respawn rather than spinning on the dead sentinel (or
-        on the EOF of its pipe).
+        on the scheduler.  A ring of the self-pipe (a stop, or a
+        respawn) ends the step, so the worker loop re-checks for a stop
+        and the next step waits on the current child.  After the child
+        dies the reader rings the bridge once and waits for that ring
+        rather than spinning on the dead sentinel (or on the EOF of its
+        pipe).
         """
         outbox, proc = self._outbox, self._proc
-        ready = self._wait_child(_READER_TIMEOUT)
-        if not ready:
+        if outbox is None or proc is None:
+            self._await([])
+            self._drain_rings()
             return
-        if outbox is not None and outbox in ready:
+        ready = self._await([outbox, proc.sentinel])
+        if outbox in ready:
             with self._handoff_lock:
                 frames = self._take_frames(outbox, _READER_BATCH)
                 self._handoff.extend(frames)
-            if not frames and proc is not None and proc.sentinel not in ready:
-                # EOF: the child is on its way out; wait for its death.
-                with contextlib.suppress(OSError, ValueError):
-                    ready = wait([proc.sentinel], timeout=_READER_TIMEOUT)
-        if proc is not None and proc.sentinel in ready:
-            self._respawned.clear()
-            if self._proc is proc:
+            if frames:
                 self._wake.set()
-                self._respawned.wait(_READER_TIMEOUT)
-            return
-        self._wake.set()
+            elif proc.sentinel not in ready:
+                # EOF: the child is on its way out; wait for its death.
+                ready = self._await([proc.sentinel])
+        if self._ring_r in ready:
+            self._drain_rings()
+        elif proc.sentinel in ready and self._proc is proc:
+            self._wake.set()
+            self._await([])
+            self._drain_rings()
 
     def worker_specs(self) -> list[WorkerSpec]:
         # The reader blocks in its own step, so it keeps a thread.
@@ -877,6 +904,13 @@ class ProcessShardBridge(Service):
             WorkerSpec("bridge", self.pump_once, wake=self._wake),
             WorkerSpec("reader", self._read_child, interval=0.0),
         ]
+
+    def on_start(self) -> None:
+        # The last stop's ring must not end the new reader's first wait.
+        self._drain_rings()
+
+    def on_halt(self) -> None:
+        self._ring_reader()
 
     def on_stop(self) -> None:
         # Final settle: collect outstanding acks/replies so a stop in
@@ -894,6 +928,9 @@ class ProcessShardBridge(Service):
         self.api.wakers.remove(self._wake)
         with self._pump_lock:
             self._shutdown_child()
+        os.close(self._ring_r)
+        os.close(self._ring_w)
+        self._ring_w = None
         self.inbound.close()
         self.publisher.close()
         self.api.close()

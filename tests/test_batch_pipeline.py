@@ -32,6 +32,7 @@ from repro.core import (
 from repro.core.events import EventType, FileEvent, approx_wire_bytes
 from repro.errors import MessagingError, WouldBlock
 from repro.msgq import Context
+from repro.msgq.framing import pack_entry
 
 
 def make_event(path, event_type=EventType.CREATED, timestamp=1.0):
@@ -127,8 +128,8 @@ class TestIndexedSince:
         # A hand-built store with a gap exercises the bisect path.
         store = EventStore()
         store._events.extend(
-            [(1, make_event("/a")), (5, make_event("/b")),
-             (9, make_event("/c"))]
+            [pack_entry(1, make_event("/a")), pack_entry(5, make_event("/b")),
+             pack_entry(9, make_event("/c"))]
         )
         store._next_seq = 10
         assert [seq for seq, _ in store.since(1)] == [5, 9]

@@ -7,6 +7,7 @@ from repro.core.events import EventType, FileEvent
 from repro.core.processor import ProcessorConfig
 from repro.core.store import BYTES_PER_EVENT, EventStore
 from repro.lustre import LustreFilesystem
+from repro.msgq.framing import pack_entry
 from repro.util.clock import ManualClock
 
 
@@ -250,6 +251,22 @@ class TestEventStore:
         with pytest.raises(ValueError):
             EventStore().recent(-1)
 
+    def test_resume_at_moves_numbering_forward_only(self):
+        store = EventStore()
+        store.resume_at(50)
+        assert store.extend([make_event("/a")]) == [50]
+        store.resume_at(10)  # numbers already issued are never reused
+        assert store.extend([make_event("/b")]) == [51]
+        assert [seq for seq, _ in store.since(0)] == [50, 51]
+        assert store.last_seq == 51
+
+    def test_the_window_keeps_records_not_events(self):
+        store = EventStore(max_events=4)
+        store.extend([make_event(f"/f{i}") for i in range(6)])
+        assert all(type(entry) is bytes for entry in store._events)
+        for bucket in store._by_type.values():
+            assert all(type(entry) is bytes for entry in bucket.entries)
+
 
 class TestIndexedQuery:
     """query() must scan only the candidate set the indexes surface."""
@@ -264,6 +281,37 @@ class TestIndexedQuery:
             ]
         )
         return store
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Count the records the store decodes."""
+        from repro.msgq import framing
+
+        calls = []
+        original = framing.unpack_entry
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(framing, "unpack_entry", counting)
+        return calls
+
+    def test_selective_queries_decode_only_their_results(self, decodes):
+        store = EventStore()
+        store.extend([make_event(f"/c/f{i}") for i in range(1000)])
+        store.extend(
+            [make_event(f"/d/f{i}", EventType.DELETED) for i in range(10)]
+        )
+        deleted = store.query(event_type=EventType.DELETED)
+        assert [event.path for _seq, event in deleted] == [
+            f"/d/f{i}" for i in range(10)
+        ]
+        assert len(decodes) <= 10
+        decodes.clear()
+        under = store.query(path_prefix="/d")
+        assert under == deleted
+        assert len(decodes) <= 10
 
     def test_typed_query_scans_only_that_bucket(self):
         store = self._mixed_store(900)
@@ -361,8 +409,8 @@ class TestIndexedQuery:
         # the first query must notice and rebuild the buckets.
         store = EventStore()
         store._events.extend(
-            [(1, make_event("/a", EventType.CREATED)),
-             (2, make_event("/b", EventType.DELETED))]
+            [pack_entry(1, make_event("/a", EventType.CREATED)),
+             pack_entry(2, make_event("/b", EventType.DELETED))]
         )
         store._next_seq = 3
         matches = store.query(event_type=EventType.DELETED)

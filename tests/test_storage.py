@@ -46,8 +46,21 @@ from repro.core.storage import (
 from repro.lustre import LustreFilesystem
 from repro.lustre.mds import DnePolicy
 from repro.msgq import make_transport
-from repro.msgq.framing import pack_entry, unpack_entry
+from repro.msgq.framing import (
+    pack_entry,
+    record_prefix_matcher,
+    record_seq,
+    record_timestamp,
+    record_type_code,
+    type_code,
+    unpack_entry,
+)
 from repro.util.clock import ManualClock
+
+
+#: Paths over an alphabet that makes prefixes collide: separators,
+#: multi-byte UTF-8 and code points sharing leading bytes.
+_paths = st.text(alphabet="/aé\u00e8\u4e2d\u4e8c.", max_size=8)
 
 
 def make_event(path="/f", event_type=EventType.CREATED, timestamp=1.0):
@@ -115,6 +128,31 @@ class TestRecordCodec:
         body = pack_entry(1, full_event())
         with pytest.raises((struct.error, IndexError, ValueError)):
             unpack_entry(body[: len(body) // 2])
+
+    def test_fixed_prefix_reads_in_place(self):
+        body = pack_entry(7, full_event())
+        assert record_seq(body) == 7
+        assert record_timestamp(body) == 1723.5
+        assert record_type_code(body) == type_code(EventType.MOVED)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=st.one_of(st.none(), _paths),
+        old_path=st.one_of(st.none(), _paths),
+        prefix=_paths,
+    )
+    def test_prefix_on_bytes_equals_prefix_on_the_event(
+        self, path, old_path, prefix
+    ):
+        event = FileEvent(
+            event_type=EventType.MOVED, path=path, is_dir=False,
+            timestamp=0.0, name="n", source="s", fid="0x1:0x2:0x0",
+            old_path=old_path,
+        )
+        record = pack_entry(1, event)
+        assert record_prefix_matcher(prefix)(record) == event.matches_prefix(
+            prefix
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +224,14 @@ class TestStoreUrls:
 # ---------------------------------------------------------------------------
 
 
+def _append(backend, first_seq, events):
+    """Append *events* as the store would: one packed record each."""
+    backend.append(
+        first_seq,
+        [pack_entry(seq, event) for seq, event in enumerate(events, first_seq)],
+    )
+
+
 def _segment_files(directory):
     return sorted(
         name for name in os.listdir(directory) if name.endswith(".seg")
@@ -197,19 +243,48 @@ class TestSegmentBackend:
         directory = str(tmp_path / "log")
         backend = SegmentLogBackend(directory)
         events = [make_event(f"/a/{i}", timestamp=float(i)) for i in range(10)]
-        backend.append(1, events[:4])
-        backend.append(5, events[4:])
+        _append(backend, 1, events[:4])
+        _append(backend, 5, events[4:])
         backend.close()
 
         recovered = SegmentLogBackend(directory).recover(max_events=100)
         assert recovered is not None
         assert [seq for seq, _ in recovered.entries] == list(range(1, 11))
-        assert [e.path for _, e in recovered.entries] == [
+        assert [unpack_entry(r)[1].path for _, r in recovered.entries] == [
             e.path for e in events
         ]
         assert recovered.next_seq == 11
         assert recovered.total_stored == 10
         assert recovered.total_rotated == 0
+
+    def test_recovery_decodes_no_record(self, tmp_path, monkeypatch):
+        from repro.core.storage import segments
+        from repro.msgq import framing
+
+        directory = str(tmp_path / "log")
+        backend = SegmentLogBackend(directory, segment_bytes=4096)
+        events = [make_event(f"/n/{i}", timestamp=float(i)) for i in range(300)]
+        for start in range(0, 300, 50):
+            _append(backend, start + 1, events[start:start + 50])
+        backend.close()
+        calls = []
+        original = framing.unpack_entry
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (framing, segments):
+            monkeypatch.setattr(module, "unpack_entry", counting)
+        store = EventStore(
+            max_events=1000, backend=SegmentLogBackend(directory)
+        )
+        assert calls == []
+        monkeypatch.undo()
+        assert store.backend.stats()["recovered_records"] == 300
+        assert len(store) == 300
+        assert store.since(0) == list(enumerate(events, start=1))
+        store.close()
 
     def test_recover_empty_directory_returns_none(self, tmp_path):
         backend = SegmentLogBackend(str(tmp_path / "log"))
@@ -218,7 +293,7 @@ class TestSegmentBackend:
     def test_recover_caps_window_and_counts_rotated(self, tmp_path):
         directory = str(tmp_path / "log")
         backend = SegmentLogBackend(directory)
-        backend.append(1, [make_event(f"/f{i}") for i in range(20)])
+        _append(backend, 1, [make_event(f"/f{i}") for i in range(20)])
         backend.close()
         recovered = SegmentLogBackend(directory).recover(max_events=5)
         assert [seq for seq, _ in recovered.entries] == [16, 17, 18, 19, 20]
@@ -229,8 +304,8 @@ class TestSegmentBackend:
         directory = str(tmp_path / "log")
         backend = SegmentLogBackend(directory, segment_bytes=512)
         for batch in range(10):
-            backend.append(
-                batch * 5 + 1,
+            _append(
+                backend, batch * 5 + 1,
                 [make_event(f"/r/{batch}/{i}") for i in range(5)],
             )
         stats = backend.stats()
@@ -244,7 +319,7 @@ class TestSegmentBackend:
     def test_torn_tail_truncated_on_recovery(self, tmp_path):
         directory = str(tmp_path / "log")
         backend = SegmentLogBackend(directory)
-        backend.append(1, [make_event(f"/t/{i}") for i in range(4)])
+        _append(backend, 1, [make_event(f"/t/{i}") for i in range(4)])
         backend.close()
         # Tear the last record: chop bytes off the only segment file.
         path = os.path.join(directory, _segment_files(directory)[-1])
@@ -259,7 +334,7 @@ class TestSegmentBackend:
     def test_corrupt_crc_stops_scan(self, tmp_path):
         directory = str(tmp_path / "log")
         backend = SegmentLogBackend(directory)
-        backend.append(1, [make_event(f"/c/{i}") for i in range(3)])
+        _append(backend, 1, [make_event(f"/c/{i}") for i in range(3)])
         backend.close()
         path = os.path.join(directory, _segment_files(directory)[-1])
         # Flip one byte inside the second record's body: 16-byte header,
@@ -279,13 +354,13 @@ class TestSegmentBackend:
     def test_mark_snapshotted_gcs_covered_segments(self, tmp_path):
         directory = str(tmp_path / "log")
         backend = SegmentLogBackend(directory)
-        backend.append(1, [make_event(f"/s/{i}") for i in range(6)])
+        _append(backend, 1, [make_event(f"/s/{i}") for i in range(6)])
         backend.mark_snapshotted(last_seq=6, total_stored=6)
         # The covered segment is gone (a fresh header-only active
         # segment may exist).
         assert "00000001.seg" not in _segment_files(directory)
         assert backend.stats()["compacted_segments"] >= 1
-        backend.append(7, [make_event("/s/late")])
+        _append(backend, 7, [make_event("/s/late")])
         backend.close()
         recovered = SegmentLogBackend(directory).recover(max_events=100)
         # The snapshot-covered prefix is gone from the log but still
@@ -299,7 +374,9 @@ class TestSegmentBackend:
         backend = SegmentLogBackend(directory, segment_bytes=256)
         seq = 1
         for batch in range(12):
-            backend.append(seq, [make_event(f"/fc/{batch}/{i}") for i in range(3)])
+            _append(
+                backend, seq, [make_event(f"/fc/{batch}/{i}") for i in range(3)]
+            )
             seq += 3
         before = backend.stats()["segments"]
         assert before >= 2
@@ -320,7 +397,9 @@ class TestSegmentBackend:
         )
         seq = 1
         for batch in range(12):
-            backend.append(seq, [make_event(f"/bg/{batch}/{i}") for i in range(3)])
+            _append(
+                backend, seq, [make_event(f"/bg/{batch}/{i}") for i in range(3)]
+            )
             seq += 3
         backend.note_floor(seq - 2)
         deadline = time.monotonic() + 5.0
@@ -342,8 +421,8 @@ class TestSegmentBackend:
 
     def test_fsync_always_counts_syncs(self, tmp_path):
         backend = SegmentLogBackend(str(tmp_path / "log"), fsync="always")
-        backend.append(1, [make_event("/f1")])
-        backend.append(2, [make_event("/f2")])
+        _append(backend, 1, [make_event("/f1")])
+        _append(backend, 2, [make_event("/f2")])
         assert backend.stats()["fsyncs"] >= 2
         backend.close()
 

@@ -1,12 +1,12 @@
 """The store's per-event memory: measured, bounded, and honestly gauged.
 
 The aggregator's memory is dominated by its store, which retains one
-``(seq, FileEvent)`` entry per event (the paper's Table 3 "local store
-that records a list of every event").  This test decodes marshal-framed
-batches exactly as the process bridge does and measures what the store
-then retains with ``tracemalloc``.  It fails if a per-event ``__dict__``
-(or any other per-event overhead) comes back, and it holds the
-``store_memory_bytes`` estimate to the measurement.
+packed record per event (the paper's Table 3 "local store that records
+a list of every event").  These tests decode marshal-framed batches
+exactly as the process bridge does and measure what the store then
+retains with ``tracemalloc``.  They fail if the store keeps a live
+object per event again (a ``FileEvent``, an entry tuple), and they hold
+the ``store_memory_bytes`` estimate to the measurement.
 """
 
 import gc
@@ -55,6 +55,11 @@ def framed_batches() -> list[bytes]:
     ]
 
 
+def fill(store: EventStore, blobs: list[bytes]) -> None:
+    for blob in blobs:
+        store.extend([event for _seq, event in decode_entries(blob).entries])
+
+
 def test_retained_bytes_per_event_are_bounded_and_gauged():
     blobs = framed_batches()
     store = EventStore(max_events=EVENTS)
@@ -62,17 +67,30 @@ def test_retained_bytes_per_event_are_bounded_and_gauged():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for blob in blobs:
-            store.extend([event for _seq, event in decode_entries(blob).entries])
+        fill(store, blobs)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(store) == EVENTS
     per_event = retained / EVENTS
-    assert per_event <= 650, f"{per_event:.0f} B retained per event"
+    assert per_event <= 260, f"{per_event:.0f} B retained per event"
     estimate = store.approximate_memory_bytes()
     assert estimate == EVENTS * BYTES_PER_EVENT
     assert abs(estimate - retained) <= 0.2 * retained, (
         f"estimate {estimate} B vs measured {retained} B"
     )
+
+
+def test_the_window_is_invisible_to_the_cyclic_gc():
+    # Records are untracked bytes: a full window adds a handful of
+    # containers to the collector's lists, not one object per event.
+    blobs = framed_batches()
+    store = EventStore(max_events=EVENTS)
+    gc.collect()
+    before = len(gc.get_objects())
+    fill(store, blobs)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(store) == EVENTS
+    assert added < EVENTS / 100, f"{added} tracked objects for {EVENTS} events"

@@ -22,7 +22,7 @@ from repro.core import AggregatorConfig, Collector, Consumer
 from repro.core.collector import CallbackSink
 from repro.lustre import DnePolicy, LustreFilesystem
 from repro.msgq import Context
-from repro.msgq.multiproc import MultiprocTransport
+from repro.msgq.multiproc import MultiprocTransport, ProcessShardBridge
 from repro.ripple import Action, RippleAgent, RippleService, Trigger
 from repro.runtime import RestartPolicy, ServiceCrash, Supervisor, WorkerSpec
 
@@ -167,6 +167,46 @@ def test_no_ring_lost_under_concurrent_senders(no_safety_net):
         sys.setswitchinterval(interval)
         executor.close()
     assert len(set(handled)) == 400
+
+
+def test_idle_bridge_readers_sleep_until_stopped(no_safety_net, monkeypatch):
+    """An idle reader blocks on the child and its self-pipe: no timed
+    stop check wakes it, and a stop still ends it at once."""
+    steps = {}
+    read_child = ProcessShardBridge._read_child
+
+    def counted(bridge):
+        steps[bridge.name] = steps.get(bridge.name, 0) + 1
+        return read_child(bridge)
+
+    monkeypatch.setattr(ProcessShardBridge, "_read_child", counted)
+    fs = LustreFilesystem(num_mds=2, dne_policy=DnePolicy.ROUND_ROBIN)
+    cluster = ClusterMonitor(
+        fs,
+        ClusterConfig(
+            num_shards=2, namespace="idle-readers", transport="multiproc"
+        ),
+    )
+    cluster.start()
+    try:
+        bridges = list(cluster.shard_handles.values())
+        assert len(bridges) == 2
+        time.sleep(0.3)
+        before = dict(steps)
+        time.sleep(1.0)
+        for bridge in bridges:
+            woke = steps.get(bridge.name, 0) - before.get(bridge.name, 0)
+            assert woke <= 2, f"{bridge.name} reader woke {woke} times in 1 s"
+        for bridge in bridges:
+            started = time.monotonic()
+            bridge.stop()
+            assert time.monotonic() - started < 1.0
+            assert not any(
+                thread.name == f"{bridge.name}-reader"
+                for thread in threading.enumerate()
+            )
+    finally:
+        cluster.shutdown()
 
 
 class TestWakerLifetime:
