@@ -112,7 +112,102 @@ class AggregatorConfig:
             )
 
 
-class Aggregator(Service):
+class StoredBatchPublisher:
+    """The publish half of a shard: fan a stored batch out on its PUB.
+
+    The in-process :class:`Aggregator` publishes what it just stored;
+    the multiproc bridge publishes the report it forwarded once its
+    shard child acknowledges the sequence numbers it stored it under.
+    Both go through :meth:`_publish_stored`, so a batch leaves a shard
+    as the same (topic, chunk) messages on either transport.  A host
+    provides ``config``, ``flush_batch_events``, ``tracer``,
+    ``publisher`` and the ``_batches_published``/``_events_published``
+    counters.
+    """
+
+    def _topic_for(self, event: FileEvent) -> str:
+        if not self.config.topic_by_path:
+            return self.config.publish_topic
+        path = event.path or event.old_path or "/"
+        parts = path.split("/", 2)
+        top = "/" + parts[1] if len(parts) > 1 and parts[1] else "/"
+        return f"{self.config.publish_topic}.{top}"
+
+    def _flush_chunks(self, entries: list[tuple[int, FileEvent]]):
+        """Split one same-topic run per the batch_events/batch_bytes policy."""
+        max_events = self.flush_batch_events or None
+        max_bytes = self.config.batch_bytes or None
+        if max_events is None and max_bytes is None:
+            yield entries
+            return
+        chunk: list[tuple[int, FileEvent]] = []
+        chunk_bytes = 0
+        for seq, event in entries:
+            size = approx_wire_bytes(event) if max_bytes else 0
+            full = chunk and (
+                (max_events is not None and len(chunk) >= max_events)
+                or (max_bytes is not None and chunk_bytes + size > max_bytes)
+            )
+            if full:
+                yield chunk
+                chunk, chunk_bytes = [], 0
+            chunk.append((seq, event))
+            chunk_bytes += size
+        if chunk:
+            yield chunk
+
+    def _publish_stored(
+        self,
+        events: list[FileEvent],
+        first_seq: int,
+        collected_ts: Optional[float] = None,
+        aggregated_ts: Optional[float] = None,
+    ) -> None:
+        """Publish *events*, stored as ``first_seq, first_seq + 1, …``.
+
+        The batch is split at topic *boundaries* (one PUB send per
+        contiguous same-topic run, further split by the flush policy)
+        instead of grouped per topic, so chunks go out in global
+        sequence order: a broad-prefix subscriber that matches several
+        per-path topics sees monotone sequence numbers and its
+        watermark dedup never mistakes a cross-topic chunk for a
+        replay, while scoped subscribers still receive their subtree in
+        store order.
+
+        A batch stamped ``aggregated_ts`` at store time records the
+        ``aggregate`` stage (from its ``collected_ts``) and, per chunk,
+        the ``publish`` stage — O(1) tracing work per batch, none at
+        all for an unsampled one.
+        """
+        if aggregated_ts is not None and collected_ts is not None:
+            self.tracer.record("aggregate", aggregated_ts - collected_ts)
+        runs: list[tuple[str, list[tuple[int, FileEvent]]]] = []
+        for entry in zip(range(first_seq, first_seq + len(events)), events):
+            topic = self._topic_for(entry[1])
+            if not runs or runs[-1][0] != topic:
+                runs.append((topic, []))
+            runs[-1][1].append(entry)
+        shard = self.config.shard_label
+        for topic, entries in runs:
+            for chunk in self._flush_chunks(entries):
+                if aggregated_ts is not None:
+                    published_ts = self.tracer.now()
+                    self.tracer.record("publish", published_ts - aggregated_ts)
+                    message = EventBatch(
+                        tuple(chunk),
+                        collected_ts=collected_ts,
+                        aggregated_ts=aggregated_ts,
+                        published_ts=published_ts,
+                        shard=shard,
+                    )
+                else:
+                    message = EventBatch(tuple(chunk), shard=shard)
+                self.publisher.send(topic, message)
+                self._batches_published.inc()
+                self._events_published.inc(len(chunk))
+
+
+class Aggregator(StoredBatchPublisher, Service):
     """Receives event batches, stores them, and publishes them."""
 
     def __init__(
@@ -268,77 +363,35 @@ class Aggregator(Service):
         channel.send(answer)
         return True
 
-    def _topic_for(self, event: FileEvent) -> str:
-        if not self.config.topic_by_path:
-            return self.config.publish_topic
-        path = event.path or event.old_path or "/"
-        parts = path.split("/", 2)
-        top = "/" + parts[1] if len(parts) > 1 and parts[1] else "/"
-        return f"{self.config.publish_topic}.{top}"
-
     def occupancy(self) -> tuple[int, int]:
         """(depth, capacity) of the inbound queue — the signal the
         adaptive flush controller tunes against."""
         return (self.inbound.pending, self.inbound.hwm)
 
-    def _flush_chunks(self, entries: list[tuple[int, FileEvent]]):
-        """Split one same-topic run per the batch_events/batch_bytes policy."""
-        max_events = self.flush_batch_events or None
-        max_bytes = self.config.batch_bytes or None
-        if max_events is None and max_bytes is None:
-            yield entries
-            return
-        chunk: list[tuple[int, FileEvent]] = []
-        chunk_bytes = 0
-        for seq, event in entries:
-            size = approx_wire_bytes(event) if max_bytes else 0
-            full = chunk and (
-                (max_events is not None and len(chunk) >= max_events)
-                or (max_bytes is not None and chunk_bytes + size > max_bytes)
-            )
-            if full:
-                yield chunk
-                chunk, chunk_bytes = [], 0
-            chunk.append((seq, event))
-            chunk_bytes += size
-        if chunk:
-            yield chunk
-
-    def _handle_batch(self, batch) -> int:
-        """Store *batch* atomically and publish batch messages in order.
+    def _store_batch(self, batch) -> Optional[tuple]:
+        """The store half: store *batch* atomically, in one EventStore
+        lock acquisition.
 
         *batch* is a plain event list or a traced
         :class:`~repro.core.events.ReportBatch` (the ``iter_report``
-        shim accepts both).  One EventStore lock acquisition per batch;
-        publication splits the batch at topic *boundaries* (one PUB
-        send per contiguous same-topic run, further split by the flush
-        policy) instead of grouping the whole batch per topic.  Chunks
-        therefore go out in global sequence order: a broad-prefix
-        subscriber that matches several per-path topics sees monotone
-        sequence numbers and its watermark dedup never mistakes a
-        cross-topic chunk for a replay, while scoped subscribers still
-        receive their subtree in store order.
-
-        A sampled batch (stamped upstream, or locally when the tracer
-        samples it) is stamped ``aggregated_ts`` at store time and
-        ``published_ts`` per PUB chunk; the ``aggregate`` and
-        ``publish`` stage deltas are recorded here — O(1) tracing work
-        per batch, none at all at sample rate 0.
+        shim accepts both).  A sampled batch (stamped upstream, or
+        locally when the tracer samples it) is stamped
+        ``aggregated_ts`` here.  Returns ``(events, first_seq,
+        collected_ts, aggregated_ts)`` for :meth:`_publish_stored`, or
+        None for an empty batch.
         """
         self._batches_received.inc()
         if not batch:
-            return 0
+            return None
         events, collected_ts = iter_report(batch)
         if not events:
-            return 0
+            return None
         seqs = self.store.extend(events)
         aggregated_ts = None
         if self.tracer.enabled and (
             collected_ts is not None or self.tracer.sample()
         ):
             aggregated_ts = self.tracer.now()
-            if collected_ts is not None:
-                self.tracer.record("aggregate", aggregated_ts - collected_ts)
         self._events_stored.inc(len(events))
         if self._log.isEnabledFor(logging.DEBUG):
             self._log.debug(
@@ -350,32 +403,15 @@ class Aggregator(Service):
                     "batch_events": len(events),
                 },
             )
-        runs: list[tuple[str, list[tuple[int, FileEvent]]]] = []
-        for seq, event in zip(seqs, events):
-            topic = self._topic_for(event)
-            if not runs or runs[-1][0] != topic:
-                runs.append((topic, []))
-            runs[-1][1].append((seq, event))
-        for topic, entries in runs:
-            for chunk in self._flush_chunks(entries):
-                if aggregated_ts is not None:
-                    published_ts = self.tracer.now()
-                    self.tracer.record("publish", published_ts - aggregated_ts)
-                    message = EventBatch(
-                        tuple(chunk),
-                        collected_ts=collected_ts,
-                        aggregated_ts=aggregated_ts,
-                        published_ts=published_ts,
-                        shard=self.config.shard_label,
-                    )
-                else:
-                    message = EventBatch(
-                        tuple(chunk), shard=self.config.shard_label
-                    )
-                self.publisher.send(topic, message)
-                self._batches_published.inc()
-                self._events_published.inc(len(chunk))
-        return len(events)
+        return events, seqs[0], collected_ts, aggregated_ts
+
+    def _handle_batch(self, batch) -> int:
+        """Store *batch* atomically, then publish it in sequence order."""
+        stored = self._store_batch(batch)
+        if stored is None:
+            return 0
+        self._publish_stored(*stored)
+        return len(stored[0])
 
     # -- historic API ------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Any, Optional
 
 from repro.lustre.changelog import ChangelogRecord, RecordType
+from repro.lustre.fid import Fid
 
 
 @lru_cache(maxsize=4096)
@@ -28,6 +29,17 @@ def prefix_probe(prefix: str) -> str:
     get memoization for free via the cache.
     """
     return prefix.rstrip("/") + "/"
+
+
+@lru_cache(maxsize=4096)
+def parent_fid_text(fid: Fid) -> str:
+    """``fid.short()`` of a parent directory, computed once.
+
+    The events of one directory then share one ``parent_fid`` string,
+    rather than each holding its own copy for as long as a subscriber
+    keeps it; the cache is bounded like :func:`prefix_probe`'s.
+    """
+    return fid.short()
 
 
 class EventType(Enum):
@@ -116,7 +128,7 @@ class FileEvent:
             name=record.name,
             source="lustre",
             fid=record.target_fid.short(),
-            parent_fid=record.parent_fid.short(),
+            parent_fid=parent_fid_text(record.parent_fid),
             mdt_index=mdt_index,
             record_index=record.index,
             record_type=record.rec_type.mnemonic,

@@ -12,23 +12,31 @@ process** while keeping every other component untouched:
   endpoints exactly as they would to an in-process
   :class:`~repro.core.aggregator.Aggregator`; none of them can tell
   the difference.
-* The child process runs a stock ``Aggregator`` driven synchronously.
-  Report batches travel parent→child as marshal-framed bytes
-  (:mod:`repro.msgq.framing` — pickle-free data plane); published
-  batches and acknowledgements travel child→parent the same way.
+* The child process runs a stock ``Aggregator`` driven synchronously,
+  and only its store half: report batches travel parent→child as
+  marshal-framed bytes (:mod:`repro.msgq.framing` — pickle-free data
+  plane), and the child answers each with one small ack frame.
+* A batch crosses the process boundary once.  The bridge keeps each
+  forwarded report's events beside its frame, and publishes those very
+  objects when the ack arrives, through the same publish code the
+  in-process ``Aggregator`` runs
+  (:class:`~repro.core.aggregator.StoredBatchPublisher`).
 
-**At-least-once across the process boundary.**  The bridge keeps every
-forwarded batch in an in-flight map until the child acknowledges it
-(acks are sent *after* the batch's publications, so an acked batch's
-events are already on their way to subscribers).  When the child dies —
-crash or :meth:`ProcessShardBridge.kill_child` — the bridge respawns it
-seeded with ``start_seq = last acked seq + 1`` and replays the
-in-flight batches in order.  The replayed batches receive the *same*
-sequence numbers they would have had, so consumers' per-shard
-watermarks dedup any double-published events exactly; nothing is lost
-and nothing is delivered twice.  (The child's in-memory historic
-window does not survive the restart — the live stream is the
-loss-free path, as for a PUB message missed by a slow joiner.)
+**Publish on ack.**  The child stores a batch and acks it with the last
+sequence number it assigned (and the batch's ``aggregated_ts`` stamp
+when traced); a batch of *n* events holds ``last_seq - n + 1 ..
+last_seq``.  The bridge keeps every forwarded batch in an in-flight map
+until that ack, and publishes the batch on it — once, since a batch id
+is acked at most once.  When the child dies — crash or
+:meth:`ProcessShardBridge.kill_child` — the bridge first handles every
+ack the dead child wrote, then respawns it seeded with ``start_seq =
+last acked seq + 1`` and replays the still-unacked batches in order.
+The replayed batches receive the *same* sequence numbers they would
+have had and are published on their one ack, so each ``(shard, seq)``
+is published exactly once by construction; nothing is lost and nothing
+is delivered twice.  (The child's in-memory historic window does not
+survive the restart — the live stream is the loss-free path, as for a
+PUB message missed by a slow joiner.)
 
 **Waking.**  The bridge never polls, and its pump never blocks: it
 runs on the process scheduler with every other woken step.  Its
@@ -37,10 +45,10 @@ a request arriving) and by a ``reader`` thread, which only blocks on
 the child's output pipe, its process sentinel and a self-pipe that a
 stop and every respawn write, with no timeout: it reads the frames
 with ``recv_bytes``, hands them over and rings the bridge, so every
-frame is handled on the scheduler.  Acks, publications and replies
-are handled as they arrive, a child that dies is respawned at once,
-and reports or requests held back by a full child inbox (they stay in
-their mailbox) move on as soon as the child catches up.
+frame is handled on the scheduler.  Acks (and so publications) and
+replies are handled as they arrive, a child that dies is respawned at
+once, and reports or requests held back by a full child inbox (they
+stay in their mailbox) move on as soon as the child catches up.
 
 **One pipe write per hop.**  Each direction is one one-way
 ``multiprocessing.Pipe``, and the thread that produces a frame writes
@@ -82,15 +90,16 @@ from itertools import count
 from multiprocessing.connection import wait
 from typing import Any, Optional
 
-from repro.core.events import ReportBatch
+from repro.core.aggregator import AggregatorConfig, StoredBatchPublisher
+from repro.core.events import ReportBatch, iter_report
 from repro.errors import WouldBlock
+from repro.metrics.tracing import TRACE_SCOPE, make_tracer
 from repro.msgq.context import Context
-from repro.msgq.framing import (
-    decode_entries,
-    decode_report,
-    encode_entries,
-    encode_report,
-)
+from repro.msgq.framing import decode_report, encode_report
+
+# The batch-entry codec stays importable from here by name: perfbench's
+# tracer wraps ``encode_entries``/``decode_entries`` in this module.
+from repro.msgq.framing import decode_entries, encode_entries  # noqa: F401
 from repro.runtime.scheduler import Wake
 from repro.runtime.service import Service, ServiceCrash, WorkerSpec
 from repro.telemetry.relay import RegistryRelay, decode_state
@@ -102,7 +111,7 @@ DEFAULT_START_METHOD = "spawn"
 
 #: How often (seconds) the child ships its registry snapshot to the
 #: parent; 0 disables the relay.  Snapshots ride the ordinary child
-#: output pipe, so they are strictly ordered with pubs and acks.
+#: output pipe, so they are strictly ordered with acks and replies.
 DEFAULT_RELAY_INTERVAL = 0.25
 
 #: Most frames the bridge writes into the child's inbox pipe before it
@@ -113,10 +122,6 @@ DEFAULT_INBOX_FRAMES = 64
 #: Most frames the reader hands over per ring, so a streaming child
 #: cannot keep the handoff lock from the pump.
 _READER_BATCH = 64
-
-#: The child's capture subscription must never drop a publication —
-#: it is drained after every batch, so depth stays one batch deep.
-_CAPTURE_HWM = 1 << 30
 
 #: A pipe's unit of capacity: the kernel stores written bytes in pages.
 _PAGE = mmap.PAGESIZE
@@ -225,27 +230,9 @@ class ShardChildSpec:
     """Everything a spawned shard process needs (must stay picklable)."""
 
     shard_id: str
-    config: Any  # AggregatorConfig; typed loosely to avoid a core import
+    config: AggregatorConfig
     start_seq: int = 1
-    want_pubs: bool = False
-    flush_batch_events: Optional[int] = None
     relay_interval: float = DEFAULT_RELAY_INTERVAL
-
-
-def _forward_pubs(capture, out: _FramePipe, want_pubs: bool) -> None:
-    """Ship the publications of the batch just handled to the parent.
-
-    With no parent-side subscribers the frames are skipped entirely
-    (the capture queue is still drained so it never grows).
-    """
-    try:
-        messages = capture.recv_many(block=False)
-    except WouldBlock:
-        return
-    if not want_pubs:
-        return
-    for topic, payload in messages:
-        out.write(marshal.dumps(("pub", topic, encode_entries(payload))))
 
 
 def _shard_main(spec: ShardChildSpec, inbox, outbox) -> None:
@@ -253,16 +240,14 @@ def _shard_main(spec: ShardChildSpec, inbox, outbox) -> None:
 
     *inbox* and *outbox* are the child's ends of its two pipes.
     Frames in: ``("batch", bid, bytes)``, ``("req", rid, bytes)``,
-    ``("want", bool)``, ``("tune", {...})``, ``("relay",)``,
-    ``("stop",)``; EOF (the parent closed its end, or died) stops the
-    child too.
-    Frames out: ``("pub", topic, bytes)``, ``("ack", bid, last_seq)``,
+    ``("relay",)``, ``("stop",)``; EOF (the parent closed its end, or
+    died) stops the child too.
+    Frames out: ``("ack", bid, last_seq, aggregated_ts)``,
     ``("reply", rid, bytes)``, ``("metrics", bytes)``,
     ``("crashed", reason)``.
 
-    Publications are forwarded *before* the batch's ack, so an acked
-    batch's events are always ahead of the ack in the pipe — the
-    ordering the bridge's at-least-once accounting relies on.
+    The child runs only the aggregator's store half: a batch is acked
+    once it is stored, and the bridge publishes the events it kept.
     """
     from repro.core.aggregator import Aggregator
     from repro.metrics.registry import MetricsRegistry
@@ -285,14 +270,6 @@ def _shard_main(spec: ShardChildSpec, inbox, outbox) -> None:
         # Resume the sequence space where the acked history ended, so
         # replayed in-flight batches get their original numbers.
         aggregator.store.resume_at(spec.start_seq)
-    if spec.flush_batch_events is not None:
-        aggregator.flush_batch_events = spec.flush_batch_events
-    capture = (
-        transport.sub(hwm=_CAPTURE_HWM)
-        .connect(spec.config.publish_endpoint)
-        .subscribe("")
-    )
-    want_pubs = spec.want_pubs
     parent = multiprocessing.parent_process()
     out = _FramePipe(outbox)
 
@@ -330,10 +307,11 @@ def _shard_main(spec: ShardChildSpec, inbox, outbox) -> None:
             break
         try:
             if kind == "batch":
-                bid, data = frame[1], frame[2]
-                aggregator._handle_batch(decode_report(data))
-                _forward_pubs(capture, out, want_pubs)
-                out.write(marshal.dumps(("ack", bid, aggregator.store.last_seq)))
+                stored = aggregator._store_batch(decode_report(frame[2]))
+                aggregated_ts = stored[3] if stored is not None else None
+                out.write(marshal.dumps(
+                    ("ack", frame[1], aggregator.store.last_seq, aggregated_ts)
+                ))
             elif kind == "req":
                 rid, data = frame[1], frame[2]
                 request = pickle.loads(data)
@@ -342,25 +320,17 @@ def _shard_main(spec: ShardChildSpec, inbox, outbox) -> None:
                 except Exception as exc:  # delivered to the requester
                     answer = exc
                 out.write(marshal.dumps(("reply", rid, pickle.dumps(answer))))
-            elif kind == "want":
-                want_pubs = bool(frame[1])
-            elif kind == "tune":
-                knobs = frame[1]
-                if "batch_events" in knobs:
-                    aggregator.flush_batch_events = int(
-                        knobs["batch_events"]
-                    )
             elif kind == "relay":
                 _ship_metrics()
                 last_relay = time.monotonic()
             _maybe_relay()
         except Exception as exc:
-            try:
+            # The note is best-effort: a parent that closed the pipe
+            # learns of the death from the child's sentinel.
+            with contextlib.suppress(OSError):
                 out.write_if_fits(
                     marshal.dumps(("crashed", f"{type(exc).__name__}: {exc}"))
                 )
-            except Exception:
-                pass
             raise
     # Graceful exit: a last snapshot (so the parent's merged series end
     # at the child's final truth), then flush the durable backend
@@ -371,14 +341,16 @@ def _shard_main(spec: ShardChildSpec, inbox, outbox) -> None:
     aggregator.store.close()
 
 
-class ProcessShardBridge(Service):
+class ProcessShardBridge(StoredBatchPublisher, Service):
     """Parent-side stand-in for one aggregator shard running out-of-proc.
 
     Duck-types the slice of :class:`~repro.core.aggregator.Aggregator`
     the rest of the system touches — ``config``, ``pump_once``,
     ``serve_api_once``, ``worker_specs``, the occupancy/flush-tuning
     hooks — so `LustreMonitor` swaps it in per shard
-    based on the transport config and nothing downstream changes.
+    based on the transport config and nothing downstream changes.  It
+    publishes with the aggregator's own publish half, so its
+    ``flush_batch_events`` is the live knob the autotuner turns.
     """
 
     def __init__(
@@ -435,14 +407,24 @@ class ProcessShardBridge(Service):
         os.set_blocking(self._ring_w, False)
         self._bid_counter = count(1)
         self._rid_counter = count(1)
-        #: Forwarded-but-unacked batches, by batch id, in send order.
-        self._inflight: dict[int, bytes] = {}
+        #: Forwarded-but-unacked batches, by batch id, in send order:
+        #: ``(frame data, events, collected_ts)``.  The data is what a
+        #: respawned child is replayed; the events are what the ack
+        #: publishes.
+        self._inflight: dict[int, tuple[bytes, Any, Optional[float]]] = {}
         self._pending_replies: dict[int, Any] = {}
         self._pending_requests: dict[int, bytes] = {}
         self._last_acked_seq = 0
-        self._want_pubs = False
-        self._flush_batch_events = config.batch_events
-        self._tuning_dirty = False
+        #: Live flush knob, as on the Aggregator (the config is frozen).
+        self.flush_batch_events = config.batch_events
+        #: Records the ``aggregate`` and ``publish`` stages of the
+        #: batches it publishes, under this bridge's scope (the child
+        #: stamps ``aggregated_ts`` and acks it).
+        self.tracer = make_tracer(
+            self.metrics,
+            config.trace_sample_rate,
+            scope=f"{self.metrics.scope}.{TRACE_SCOPE}",
+        )
         self._child_error: Optional[str] = None
         #: Consecutive child deaths without a single new ack — a child
         #: that cannot even start must not turn the pump into a fork
@@ -491,17 +473,6 @@ class ProcessShardBridge(Service):
         return (self.inbound.pending + len(self._inflight), self.config.hwm)
 
     @property
-    def flush_batch_events(self) -> int:
-        return self._flush_batch_events
-
-    @flush_batch_events.setter
-    def flush_batch_events(self, value: int) -> None:
-        with self._pump_lock:
-            self._flush_batch_events = int(value)
-            self._tuning_dirty = True
-        self._wake.set()
-
-    @property
     def busy(self) -> bool:
         """True while any batch or request is still crossing the bridge."""
         return bool(
@@ -527,12 +498,6 @@ class ProcessShardBridge(Service):
             shard_id=self.name,
             config=self.config,
             start_seq=self._last_acked_seq + 1,
-            want_pubs=self._want_pubs,
-            flush_batch_events=(
-                self._flush_batch_events
-                if self._flush_batch_events != self.config.batch_events
-                else None
-            ),
             relay_interval=self.relay_interval,
         )
         self._proc = self._mp.Process(
@@ -552,13 +517,15 @@ class ProcessShardBridge(Service):
         # Replay: unacked batches in original order get their original
         # sequence numbers (the child was seeded past the acked ones).
         self._replay = deque(
-            [("batch", bid, data) for bid, data in sorted(self._inflight.items())]
+            [
+                ("batch", bid, batch[0])
+                for bid, batch in sorted(self._inflight.items())
+            ]
             + [
                 ("req", rid, data)
                 for rid, data in sorted(self._pending_requests.items())
             ]
         )
-        self._tuning_dirty = self._flush_batch_events != self.config.batch_events
         self._respawned.set()
         self._ring_reader()
 
@@ -581,8 +548,9 @@ class ProcessShardBridge(Service):
         if proc is not None:
             proc.join(timeout=0.5)
             # Whatever the dead child managed to emit is still real
-            # work: acks clear in-flight, pubs reach subscribers.  Its
-            # pipe ends are closed, so reading here ends at EOF.
+            # work: an ack publishes its batch, which then needs no
+            # replay.  Its pipe ends are closed, so reading here ends
+            # at EOF.
             self._drain_child(read=True)
             self._discard_pipes()
             self._child_restarts.inc()
@@ -646,7 +614,7 @@ class ProcessShardBridge(Service):
             return self._inbox.write_if_fits(frame)
         except OSError:
             # The child died; its next incarnation gets what counts
-            # (in-flight batches, pending requests, want/tune) at spawn.
+            # (in-flight batches and pending requests) at spawn.
             return True
 
     def _held_fits(self, held: Optional[tuple]) -> bool:
@@ -656,25 +624,6 @@ class ProcessShardBridge(Service):
         work = 0
         while self._replay and self._send(marshal.dumps(self._replay[0])):
             self._replay.popleft()
-            work += 1
-        return work
-
-    def _sync_want_pubs(self) -> int:
-        # _want_pubs tracks what the child believes; it only advances
-        # when the frame is actually written (only if it fits, so a
-        # wedged or dying child can never block the pump — the sync
-        # just retries).
-        has_subs = self.publisher.subscriber_count > 0
-        work = 0
-        if has_subs != self._want_pubs and self._send(
-            marshal.dumps(("want", has_subs))
-        ):
-            self._want_pubs = has_subs
-            work += 1
-        if self._tuning_dirty and self._send(
-            marshal.dumps(("tune", {"batch_events": self._flush_batch_events}))
-        ):
-            self._tuning_dirty = False
             work += 1
         return work
 
@@ -704,12 +653,10 @@ class ProcessShardBridge(Service):
                 self._held_report = (payload, bid, data, frame)
                 break
             self._held_report = None
-            self._inflight[bid] = data
+            events, collected_ts = iter_report(payload)
+            self._inflight[bid] = (data, events, collected_ts)
             self._batches_received.inc()
-            try:
-                self._events_forwarded.inc(len(payload))
-            except TypeError:
-                pass
+            self._events_forwarded.inc(len(events))
             work += 1
         return work
 
@@ -740,18 +687,17 @@ class ProcessShardBridge(Service):
 
     def _handle_frame(self, frame) -> None:
         kind = frame[0]
-        if kind == "pub":
-            topic, data = frame[1], frame[2]
-            if self.publisher.subscriber_count:
-                batch = decode_entries(data)
-                self.publisher.send(topic, batch)
-                self._batches_published.inc()
-                self._events_published.inc(len(batch))
-        elif kind == "ack":
-            bid, last_seq = frame[1], frame[2]
-            self._inflight.pop(bid, None)
+        if kind == "ack":
+            bid, last_seq, aggregated_ts = frame[1:]
+            batch = self._inflight.pop(bid, None)
             self._last_acked_seq = max(self._last_acked_seq, last_seq)
             self._batches_acked.inc()
+            if batch is not None:
+                _data, events, collected_ts = batch
+                self._publish_stored(
+                    events, last_seq - len(events) + 1,
+                    collected_ts, aggregated_ts,
+                )
         elif kind == "reply":
             rid, data = frame[1], frame[2]
             channel = self._pending_replies.pop(rid, None)
@@ -800,9 +746,8 @@ class ProcessShardBridge(Service):
         """One bridge sweep; returns the number of frames moved.
 
         Order matters: child liveness first (respawn), then the replay
-        of a respawned child's unanswered frames, then the
-        want-pubs/tuning sync (control frames precede data in the
-        pipe), then report/API forwarding, then the child's output.
+        of a respawned child's unanswered frames, then report/API
+        forwarding, then the child's output (whose acks publish).
         *timeout* is accepted for Aggregator signature compatibility;
         the bridge never blocks — its service workers do the waiting.
         While the ``reader`` thread runs, only it reads the child's
@@ -812,7 +757,6 @@ class ProcessShardBridge(Service):
         with self._pump_lock:
             work = self._ensure_child()
             work += self._flush_replay()
-            work += self._sync_want_pubs()
             work += self._forward_reports()
             work += self._forward_requests()
             work += self._drain_child(read=not self._worker_threads)

@@ -63,7 +63,8 @@ def _loaded_after(*modules):
     )
     completed = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC)},
+        # No bytecode: a test run must leave no .pyc files in src/.
+        env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         timeout=60,

@@ -21,9 +21,15 @@ Covers the transport refactor end to end:
   relaxed with high publish latency, clamped both ways;
 * the multiproc backend: bridge roundtrip + historic API, cluster
   equivalence against inproc on an identical trace, and the
-  shard-kill-under-load zero-loss property.
+  shard-kill-under-load zero-loss property;
+* publish on ack: a child SIGKILLed with batches in flight still has
+  each ``(shard, seq)`` published exactly once, the parent decodes no
+  published entries, a traced cluster records all four stages, and
+  the bridge cuts the same topic runs and chunks as an Aggregator.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -35,6 +41,7 @@ from repro.core import (
     AdaptiveFlushController,
     Aggregator,
     AggregatorConfig,
+    Consumer,
     FlushTuning,
 )
 from repro.core.events import EventType, FileEvent
@@ -49,7 +56,7 @@ from repro.msgq.framing import (
     encode_entries,
     encode_report,
 )
-from repro.msgq.multiproc import MultiprocTransport
+from repro.msgq.multiproc import MultiprocTransport, _pipe_unread
 from repro.util.clock import ManualClock
 
 
@@ -71,6 +78,15 @@ def pump_until(bridge, predicate, timeout=15.0, extra=()):
         bridge.pump_once()
         for step in extra:
             step()
+        if predicate():
+            return True
+        time.sleep(0.002)
+    return predicate()
+
+
+def wait_for(predicate, timeout):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
         if predicate():
             return True
         time.sleep(0.002)
@@ -795,3 +811,214 @@ class TestMultiprocCluster:
             assert restarts >= 1  # the fault actually happened
         finally:
             cluster.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Publish on ack: a batch crosses the process boundary once
+# ---------------------------------------------------------------------------
+
+
+def _long_event(index):
+    # Long paths make the child's output large if it ever ships events.
+    return make_event(f"/ack/{'x' * 120}/f{index:05d}")
+
+
+def _published(sub, got):
+    """Take every published batch waiting on *sub* into *got*."""
+    try:
+        for topic, batch in sub.recv_many(block=False):
+            got.append((topic, tuple(seq for seq, _ in batch.entries)))
+    except WouldBlock:
+        pass
+
+
+class TestPublishOnAck:
+    def test_sigkill_with_batches_in_flight_publishes_each_seq_once(self):
+        transport = make_transport("multiproc")
+        config = AggregatorConfig(
+            inbound_endpoint="inproc://once.reports",
+            publish_endpoint="inproc://once.events",
+            api_endpoint="inproc://once.api",
+            shard_label="s0",
+            trace_sample_rate=0.0,
+            batch_events=5,
+        )
+        bridge = transport.process_shard("s0", config, relay_interval=0)
+        delivered = []
+        consumer = Consumer(
+            transport, lambda seq, event: delivered.append((seq, event)),
+            config=config, name="once",
+        )
+        try:
+            bridge.pump_once()  # the child meets its subscriber first
+            push = transport.push().connect(config.inbound_endpoint)
+            total = 0
+            for _ in range(12):
+                push.send([_long_event(total + i) for i in range(100)])
+                total += 100
+            # Forward for a while without reading the child's output:
+            # whatever the child sends back stays in its pipe.
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                bridge._forward_reports()
+                time.sleep(0.01)
+            assert _pipe_unread(bridge._outbox) > 0
+            # Freeze the child, forward what fits behind it, and kill it
+            # with batches in flight.
+            proc = bridge._proc
+            os.kill(proc.pid, signal.SIGSTOP)
+            bridge._forward_reports()
+            assert bridge._inflight
+            bridge.kill_child()
+
+            def settled():
+                bridge.pump_once()
+                consumer.poll_once()
+                return len(delivered) >= total and not bridge.busy
+
+            assert wait_for(settled, 30.0)
+            consumer.poll_once()
+            seqs = [seq for seq, _ in delivered]
+            assert seqs == list(range(1, total + 1))  # none lost, in order
+            published = bridge.metrics.snapshot()["events_published"]
+            assert published == total == len(set(seqs))
+            assert consumer.duplicates_skipped == 0
+            assert [event.path for _, event in delivered] == [
+                _long_event(i).path for i in range(total)
+            ]
+            assert bridge.metrics.snapshot()["child_restarts"] == 1
+        finally:
+            consumer.close()
+            transport.close()
+
+    def test_parent_decodes_no_entries_and_shares_parent_fids(
+        self, monkeypatch
+    ):
+        import repro.msgq.framing as framing
+        import repro.msgq.multiproc as multiproc
+
+        calls = []
+        original = framing.decode_entries
+
+        def counting(data):
+            calls.append(len(data))
+            return original(data)
+
+        monkeypatch.setattr(framing, "decode_entries", counting)
+        monkeypatch.setattr(multiproc, "decode_entries", counting)
+        fs = LustreFilesystem(
+            num_mds=2, mdts_per_mds=1,
+            dne_policy=DnePolicy.ROUND_ROBIN, clock=ManualClock(),
+        )
+        cluster = ClusterMonitor(
+            fs,
+            ClusterConfig(
+                num_shards=2, namespace="no-decode", transport="multiproc",
+                aggregator=AggregatorConfig(trace_sample_rate=0.0),
+            ),
+        )
+        delivered = []
+        try:
+            cluster.subscribe(lambda seq, event: delivered.append(event))
+            dirs = [f"/share{d}" for d in range(4)]
+            for directory in dirs:
+                fs.makedirs(directory)
+            created = [f"{dirs[i % 4]}/f{i}" for i in range(80)]
+            for path in created:
+                fs.create(path)
+            cluster.drain()
+            files = [event for event in delivered if event.path in created]
+            assert sorted(event.path for event in files) == sorted(created)
+            assert calls == []
+            for directory in dirs:
+                fids = {
+                    id(event.parent_fid) for event in files
+                    if event.path.startswith(directory + "/")
+                }
+                assert len(fids) == 1, directory
+        finally:
+            cluster.shutdown()
+
+    def test_traced_multiproc_cluster_records_all_four_stages(self):
+        fs = LustreFilesystem(
+            num_mds=2, mdts_per_mds=1, dne_policy=DnePolicy.ROUND_ROBIN
+        )
+        cluster = ClusterMonitor(
+            fs,
+            ClusterConfig(
+                num_shards=2, namespace="traced-mp", transport="multiproc",
+                aggregator=AggregatorConfig(trace_sample_rate=1.0),
+            ),
+        )
+        delivered = []
+        try:
+            cluster.subscribe(lambda seq, event: delivered.append(event))
+            for d in range(4):
+                fs.makedirs(f"/trace{d}")
+                for i in range(10):
+                    fs.create(f"/trace{d}/f{i}")
+            cluster.drain()
+            assert len(delivered) >= 44
+            histograms = cluster.registry.histograms()
+            recorded = {
+                name: histogram.total for name, histogram in histograms.items()
+            }
+            assert recorded.get("pipeline.collect", 0) > 0
+            assert recorded.get("pipeline.deliver", 0) > 0
+            for bridge in cluster.bridges.values():
+                if not bridge.metrics.snapshot()["events_published"]:
+                    continue
+                scope = bridge.metrics.scope
+                assert recorded.get(f"{scope}.pipeline.aggregate", 0) > 0
+                assert recorded.get(f"{scope}.pipeline.publish", 0) > 0
+        finally:
+            cluster.shutdown()
+
+    def test_topic_runs_and_chunks_match_inproc(self):
+        config = AggregatorConfig(
+            inbound_endpoint="inproc://chunks.reports",
+            publish_endpoint="inproc://chunks.events",
+            api_endpoint="inproc://chunks.api",
+            shard_label="s0",
+            trace_sample_rate=0.0,
+            topic_by_path=True,
+            batch_events=3,
+        )
+        tops = ["a", "a", "b", "a", "a", "a", "a", "c", "c", "b", "b", "b"]
+        reports = [
+            [make_event(f"/{top}/f{i}") for i, top in enumerate(tops)],
+            [make_event(f"/{top}/g{i}") for i, top in enumerate(reversed(tops))],
+        ]
+
+        def run(transport, pump):
+            sub = transport.sub().connect(config.publish_endpoint).subscribe("")
+            push = transport.push().connect(config.inbound_endpoint)
+            for report in reports:
+                push.send(report)
+            got = []
+            total = sum(len(report) for report in reports)
+
+            def done():
+                pump()
+                _published(sub, got)
+                return sum(len(seqs) for _, seqs in got) >= total
+
+            assert wait_for(done, 20.0)
+            return got
+
+        inproc = Context()
+        aggregator = Aggregator(inproc, config)
+        try:
+            expected = run(inproc, aggregator.pump_once)
+        finally:
+            aggregator.close()
+            inproc.close()
+        multiproc = make_transport("multiproc")
+        try:
+            bridge = multiproc.process_shard("s0", config)
+            got = run(multiproc, bridge.pump_once)
+        finally:
+            multiproc.close()
+        assert got == expected
+        assert ("events./a", (1, 2)) in got  # a topic run, cut at 3
+        assert ("events./a", (4, 5, 6)) in got
