@@ -23,7 +23,7 @@ aggregation over N shards, the fix for the single-aggregator wall the
 paper names in §6.
 
 Every name below is re-exported lazily: a shard child that imports
-``repro.core.aggregator`` loads the aggregator and the store, not the
+``repro.core.shard`` loads the store half, not the aggregator, the
 monitor, its telemetry plane or the polling baseline.
 """
 
@@ -42,7 +42,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "CollectorConfig": ".collector",
     "EventStore": ".store",
     "Aggregator": ".aggregator",
-    "AggregatorConfig": ".aggregator",
+    "AggregatorConfig": ".shard",
     "Consumer": ".consumer",
     "DedupingConsumer": ".consumer",
     "StorageMonitor": ".fsmonitor",

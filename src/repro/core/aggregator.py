@@ -22,6 +22,11 @@ Structure here:
   ``query`` requests) with ``since`` honouring ``limit`` during the
   indexed scan.
 
+The store half — storing a batch and answering the historic API — is
+:class:`~repro.core.shard.ShardStore`, which a multiproc shard child
+runs alone; the publish half is :class:`StoredBatchPublisher`, which
+the multiproc bridge runs in the parent.
+
 Deterministic mode: :meth:`pump_once` performs receive→store→publish
 synchronously, which tests and virtual-time drivers use.
 
@@ -33,83 +38,18 @@ instance attributes.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
-from repro.core.events import (
-    EventBatch,
-    EventType,
-    FileEvent,
-    approx_wire_bytes,
-    iter_report,
-)
+from repro.core.events import EventBatch, FileEvent, approx_wire_bytes
+from repro.core.shard import AggregatorConfig, ShardStore
 from repro.core.store import EventStore
-from repro.core.storage import open_store
 from repro.errors import WouldBlock
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import Tracer, make_tracer
 from repro.msgq import Transport
 from repro.runtime import Service, Wake, WorkerSpec
-from repro.util.logging import get_logger
 
-
-@dataclass(frozen=True)
-class AggregatorConfig:
-    """Aggregator knobs."""
-
-    inbound_endpoint: str = "inproc://aggregator"
-    publish_endpoint: str = "inproc://events"
-    api_endpoint: str = "inproc://history-api"
-    store_max_events: int = 100_000
-    #: Durability backend for the event store, as a URL:
-    #: ``memory://`` (the default volatile window) or
-    #: ``segments:///var/lib/repro/store`` (append-only segment log;
-    #: ``?segment_bytes=&fsync=&compact_interval=`` tune it).  A store
-    #: over a non-empty segment log *recovers* at construction — the
-    #: aggregator resumes numbering and history from the log.
-    store_url: str = "memory://"
-    publish_topic: str = "events"
-    hwm: int = 100_000
-    #: When True, events are published under per-subtree topics
-    #: (``events./projects``), so subscribers interested in one subtree
-    #: filter *at the fabric* instead of discarding after delivery.
-    topic_by_path: bool = False
-    #: Flush policy for published batch messages: a same-topic run
-    #: larger than ``batch_events`` events (0 = unbounded) or
-    #: ``batch_bytes`` approximate wire bytes (0 = unbounded) is split
-    #: into multiple :class:`~repro.core.events.EventBatch` messages.
-    #: Bounds the latency/memory cost of one PUB message without giving
-    #: up batch amortisation.
-    batch_events: int = 0
-    batch_bytes: int = 0
-    #: Fraction of batches stamped with stage timestamps and recorded
-    #: into the ``pipeline.*`` latency histograms (one histogram lock
-    #: per stage per sampled batch).  ``0.0`` compiles the tracing path
-    #: to no-ops: no histograms registered, no clock reads, no locks.
-    trace_sample_rate: float = 1.0
-    #: Shard identity stamped on every published
-    #: :class:`~repro.core.events.EventBatch` when this aggregator is
-    #: one shard of a cluster.  ``None`` (the default, and what a
-    #: single-aggregator monitor uses) publishes unlabelled batches, so
-    #: consumers fall back to their pre-cluster single watermark.
-    shard_label: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.batch_events < 0:
-            raise ValueError(f"batch_events must be >= 0: {self.batch_events}")
-        if self.batch_bytes < 0:
-            raise ValueError(f"batch_bytes must be >= 0: {self.batch_bytes}")
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ValueError(
-                f"trace_sample_rate must be in [0, 1]: {self.trace_sample_rate}"
-            )
-        scheme = self.store_url.split(":", 1)[0]
-        if scheme not in ("memory", "segments"):
-            raise ValueError(
-                f"store_url scheme must be memory:// or segments://: "
-                f"{self.store_url!r}"
-            )
+__all__ = ["Aggregator", "AggregatorConfig", "StoredBatchPublisher"]
 
 
 class StoredBatchPublisher:
@@ -207,7 +147,7 @@ class StoredBatchPublisher:
                 self._events_published.inc(len(chunk))
 
 
-class Aggregator(StoredBatchPublisher, Service):
+class Aggregator(ShardStore, StoredBatchPublisher, Service):
     """Receives event batches, stores them, and publishes them."""
 
     def __init__(
@@ -222,7 +162,6 @@ class Aggregator(StoredBatchPublisher, Service):
         super().__init__(name, registry)
         self.context = context
         self.config = config or AggregatorConfig()
-        self._log = get_logger(f"core.aggregator.{name}")
         #: Stage tracer: stamps sampled batches at store and publish
         #: time, recording the ``aggregate`` and ``publish`` stages.
         self.tracer: Tracer = (
@@ -230,13 +169,7 @@ class Aggregator(StoredBatchPublisher, Service):
             if tracer is not None
             else make_tracer(self.metrics, self.config.trace_sample_rate)
         )
-        #: The rotating catalog; pass a restored store (EventStore.load)
-        #: to resume after a restart with history intact, or configure
-        #: ``store_url`` so the store recovers itself from its durable
-        #: backend (segment log) at construction.
-        self.store = store or open_store(
-            self.config.store_url, max_events=self.config.store_max_events
-        )
+        self._open_store(name, store)
         self.inbound = context.pull(hwm=self.config.hwm).bind(
             self.config.inbound_endpoint
         )
@@ -255,26 +188,9 @@ class Aggregator(StoredBatchPublisher, Service):
         self._api_wake = Wake()
         self.inbound.wakers.add(self._pump_wake)
         self.api.wakers.add(self._api_wake)
-        # Pipeline counters (shared registry; property shims below).
-        self._batches_received = self.metrics.counter("batches_received")
-        self._events_stored = self.metrics.counter("events_stored")
+        # Publish counters (shared registry; property shims below).
         self._events_published = self.metrics.counter("events_published")
         self._batches_published = self.metrics.counter("batches_published")
-        self._api_requests = self.metrics.counter("api_requests")
-        self.metrics.gauge_fn("store_len", lambda: len(self.store))
-        self.metrics.gauge_fn("store_last_seq", lambda: self.store.last_seq)
-        self.metrics.gauge_fn("store_rotated", lambda: self.store.total_rotated)
-        self.metrics.gauge_fn(
-            "store_memory_bytes", lambda: self.store.approximate_memory_bytes()
-        )
-        if self.store.backend.durable:
-            # Durable-backend observability: fsync/compaction counters
-            # and segment/byte gauges (``store_backend_*`` series).
-            for stat_name in self.store.backend.stats():
-                self.metrics.gauge_fn(
-                    f"store_backend_{stat_name}",
-                    lambda key=stat_name: self.store.backend.stats()[key],
-                )
         # Per-socket occupancy: queue depth against capacity, so
         # dashboards see backpressure building before the mark is hit.
         self.metrics.gauge_fn("inbound_depth", lambda: self.inbound.pending)
@@ -283,14 +199,6 @@ class Aggregator(StoredBatchPublisher, Service):
         self.metrics.gauge_fn("api_depth", lambda: self.api.pending)
 
     # -- legacy counter names (read-only views over the registry) -----------
-
-    @property
-    def batches_received(self) -> int:
-        return self._batches_received.value
-
-    @property
-    def events_stored(self) -> int:
-        return self._events_stored.value
 
     @property
     def events_published(self) -> int:
@@ -355,7 +263,6 @@ class Aggregator(StoredBatchPublisher, Service):
             request, channel = self.api.recv(timeout=timeout)
         except WouldBlock:
             return False
-        self._api_requests.inc()
         try:
             answer = self._answer(request)
         except Exception as exc:
@@ -368,43 +275,6 @@ class Aggregator(StoredBatchPublisher, Service):
         adaptive flush controller tunes against."""
         return (self.inbound.pending, self.inbound.hwm)
 
-    def _store_batch(self, batch) -> Optional[tuple]:
-        """The store half: store *batch* atomically, in one EventStore
-        lock acquisition.
-
-        *batch* is a plain event list or a traced
-        :class:`~repro.core.events.ReportBatch` (the ``iter_report``
-        shim accepts both).  A sampled batch (stamped upstream, or
-        locally when the tracer samples it) is stamped
-        ``aggregated_ts`` here.  Returns ``(events, first_seq,
-        collected_ts, aggregated_ts)`` for :meth:`_publish_stored`, or
-        None for an empty batch.
-        """
-        self._batches_received.inc()
-        if not batch:
-            return None
-        events, collected_ts = iter_report(batch)
-        if not events:
-            return None
-        seqs = self.store.extend(events)
-        aggregated_ts = None
-        if self.tracer.enabled and (
-            collected_ts is not None or self.tracer.sample()
-        ):
-            aggregated_ts = self.tracer.now()
-        self._events_stored.inc(len(events))
-        if self._log.isEnabledFor(logging.DEBUG):
-            self._log.debug(
-                "stored batch seq %d..%d (%d events)",
-                seqs[0], seqs[-1], len(events),
-                extra={
-                    "first_seq": seqs[0],
-                    "last_seq": seqs[-1],
-                    "batch_events": len(events),
-                },
-            )
-        return events, seqs[0], collected_ts, aggregated_ts
-
     def _handle_batch(self, batch) -> int:
         """Store *batch* atomically, then publish it in sequence order."""
         stored = self._store_batch(batch)
@@ -412,50 +282,6 @@ class Aggregator(StoredBatchPublisher, Service):
             return 0
         self._publish_stored(*stored)
         return len(stored[0])
-
-    # -- historic API ------------------------------------------------------------
-
-    def _answer(self, request: dict[str, Any]) -> Any:
-        """Dispatch a historic-API request.
-
-        Requests are dicts: ``{'op': 'since', 'seq': N, 'limit': M}``,
-        ``{'op': 'recent', 'count': N}``, ``{'op': 'query', ...filters}``,
-        ``{'op': 'last_seq'}``, ``{'op': 'stats'}`` or
-        ``{'op': 'metrics'}``.
-        """
-        op = request.get("op")
-        if op == "since":
-            return self.store.since(request["seq"], limit=request.get("limit"))
-        if op == "recent":
-            return self.store.recent(request["count"])
-        if op == "last_seq":
-            return self.store.last_seq
-        if op == "stats":
-            # Derived from the shared metrics registry — the same
-            # numbers every service exposes through Service.stats().
-            return {**self.metrics.snapshot(), "health": self.health()}
-        if op == "metrics":
-            # The exposition answer: every metric in the shared
-            # registry (the whole supervision tree, not just this
-            # scope) as Prometheus text plus per-histogram summaries.
-            registry = self.metrics.registry
-            return {
-                "prometheus": registry.render_prometheus(),
-                "histograms": {
-                    name: histogram.summary()
-                    for name, histogram in registry.histograms().items()
-                },
-            }
-        if op == "query":
-            event_type = request.get("event_type")
-            return self.store.query(
-                path_prefix=request.get("path_prefix"),
-                event_type=EventType(event_type) if event_type else None,
-                since_time=request.get("since_time"),
-                until_time=request.get("until_time"),
-                limit=request.get("limit"),
-            )
-        raise ValueError(f"unknown API op: {op!r}")
 
     # -- service runtime -------------------------------------------------------
 

@@ -272,10 +272,15 @@ class SegmentLogBackend(StoreBackend):
             )
         else:
             # Header-only segment: nothing durable in it, drop the file.
+            # One already gone is fine; one that stays holds no record,
+            # so a failed drop is logged and left behind.
+            path = self._segment_path(self._active_no)
             try:
-                os.unlink(self._segment_path(self._active_no))
-            except OSError:
+                os.unlink(path)
+            except FileNotFoundError:
                 pass
+            except OSError as exc:
+                logger.warning("could not drop empty segment %s: %s", path, exc)
         self._active_file = None
         self._active_size = 0
 
@@ -430,10 +435,12 @@ class SegmentLogBackend(StoreBackend):
             for seg in list(self._segments):
                 self._delete_segment(seg, count=False)
             self._segments = []
+            # Every file left would be read back by the next recovery, so
+            # only one already gone may pass; any other failure raises.
             for _file_no, path in self._list_segment_files():
                 try:
                     os.unlink(path)
-                except OSError:
+                except FileNotFoundError:
                     pass
             first_seq = record_seq(records[0]) if records else next_seq
             self._ckpt_seq = first_seq - 1

@@ -1,22 +1,29 @@
-"""Measurement utilities: registries, meters, histograms, tracing."""
+"""Measurement utilities: registries, meters, histograms, tracing.
 
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ScopedRegistry,
-)
-from repro.metrics.throughput import RateMeter, StageTimer
-from repro.metrics.histogram import LatencyHistogram
-from repro.metrics.resources import ResourceSample, ResourceUsageModel
-from repro.metrics.tracing import (
-    NULL_TRACER,
-    NullTracer,
-    PIPELINE_STAGES,
-    PipelineTracer,
-    make_tracer,
-)
+Every name below is re-exported lazily: a shard child that imports
+``repro.metrics.registry`` and ``repro.metrics.tracing`` loads neither
+the meters nor the resource model.
+"""
+
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Counter": ".registry",
+    "Gauge": ".registry",
+    "Histogram": ".registry",
+    "MetricsRegistry": ".registry",
+    "ScopedRegistry": ".registry",
+    "RateMeter": ".throughput",
+    "StageTimer": ".throughput",
+    "LatencyHistogram": ".histogram",
+    "ResourceSample": ".resources",
+    "ResourceUsageModel": ".resources",
+    "NULL_TRACER": ".tracing",
+    "NullTracer": ".tracing",
+    "PIPELINE_STAGES": ".tracing",
+    "PipelineTracer": ".tracing",
+    "make_tracer": ".tracing",
+})
 
 __all__ = [
     "Counter",

@@ -17,18 +17,26 @@ reproduces the messaging *semantics* the design depends on, in-process:
 
 The ablation A4 (DESIGN.md) compares these transports for the
 collection path, per the paper's future work.
+
+Every name below is re-exported lazily: a shard child that imports
+``repro.msgq.framing`` and ``repro.msgq.pipes`` loads neither the
+sockets nor the context.
 """
 
-from repro.msgq.context import Context, InprocTransport
-from repro.msgq.sockets import (
-    PubSocket,
-    PullSocket,
-    PushSocket,
-    RepSocket,
-    ReqSocket,
-    SubSocket,
-)
-from repro.msgq.transport import Transport, make_transport
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Context": ".context",
+    "InprocTransport": ".context",
+    "Transport": ".transport",
+    "make_transport": ".transport",
+    "PubSocket": ".sockets",
+    "SubSocket": ".sockets",
+    "PushSocket": ".sockets",
+    "PullSocket": ".sockets",
+    "ReqSocket": ".sockets",
+    "RepSocket": ".sockets",
+})
 
 __all__ = [
     "Context",

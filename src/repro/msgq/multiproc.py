@@ -12,8 +12,10 @@ process** while keeping every other component untouched:
   endpoints exactly as they would to an in-process
   :class:`~repro.core.aggregator.Aggregator`; none of them can tell
   the difference.
-* The child process runs a stock ``Aggregator`` driven synchronously,
-  and only its store half: report batches travel parent→child as
+* The child process runs only the shard's store half
+  (:class:`~repro.core.shard.ShardStore`, spawned at
+  :func:`~repro.core.shard._shard_main`): no aggregator, sockets,
+  scheduler or publish counters.  Report batches travel parent→child as
   marshal-framed bytes (:mod:`repro.msgq.framing` — pickle-free data
   plane), and the child answers each with one small ack frame.
 * A batch crosses the process boundary once.  The bridge keeps each
@@ -57,7 +59,9 @@ thread stand between a frame and the pipe.  A full pipe blocks its
 writer.  The child may block, since the ``reader`` always drains its
 output; the bridge may not, so it counts the pipe pages it has written
 since it last saw the inbox pipe empty and writes a frame only while
-that count fits the pipe's capacity (``F_GETPIPE_SZ``).  A report too
+that count fits the pipe's capacity (``F_GETPIPE_SZ``), and at most
+``inbox_frames`` frames; the rest wait in the PULL socket, whose
+credits push back on collectors.  A report too
 long to ever fit is cut at event boundaries into several batches.
 The parent closes its copies of the child's pipe ends, so the death of
 either side is an EOF for the other.
@@ -66,141 +70,64 @@ Children are started with the ``spawn`` method by default: forking a
 multi-threaded parent (the scheduler, bridge readers) risks cloning
 held locks; a fresh interpreter does not.
 ``spawn`` installs the parent's ``sys.path`` in the child before it
-unpickles :func:`_shard_main`, so the child finds ``repro`` however
-the parent did.  Its boot is the respawn latency, so it imports only
-what it runs: the package ``__init__``s on its path export lazily.
+unpickles :func:`~repro.core.shard._shard_main` and its
+:class:`~repro.core.shard.ShardChildSpec`, so the child finds
+``repro`` however the parent did.  Its boot is the respawn latency, so
+it imports only what it runs: the spawn target lives in the lean
+:mod:`repro.core.shard` (not here), the frame pipes in
+:mod:`repro.msgq.pipes`, and the package ``__init__``s on its path
+export lazily.
 """
 
 from __future__ import annotations
 
 import contextlib
-import fcntl
 import marshal
-import mmap
 import multiprocessing
 import os
 import pickle
-import struct
-import termios
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from itertools import count
 from multiprocessing.connection import wait
 from typing import Any, Optional
 
-from repro.core.aggregator import AggregatorConfig, StoredBatchPublisher
+from repro.core.aggregator import StoredBatchPublisher
 from repro.core.events import ReportBatch, iter_report
+from repro.core.shard import DEFAULT_RELAY_INTERVAL, ShardChildSpec, _shard_main
 from repro.errors import WouldBlock
 from repro.metrics.tracing import TRACE_SCOPE, make_tracer
 from repro.msgq.context import Context
-from repro.msgq.framing import decode_report, encode_report
+from repro.msgq.framing import encode_report
+from repro.msgq.pipes import (
+    _PAGE,
+    DEFAULT_MAX_FRAMES,
+    _frame_pages,
+    _FramePipe,
+    _read_frame,
+)
 
-# The batch-entry codec stays importable from here by name: perfbench's
-# tracer wraps ``encode_entries``/``decode_entries`` in this module.
-from repro.msgq.framing import decode_entries, encode_entries  # noqa: F401
+# The codec stays importable from here by name: perfbench's tracer
+# wraps ``decode_report``, ``encode_entries`` and ``decode_entries`` in
+# this module (the shard child decodes reports in repro.core.shard).
+from repro.msgq.framing import (  # noqa: F401
+    decode_entries,
+    decode_report,
+    encode_entries,
+)
 from repro.runtime.scheduler import Wake
 from repro.runtime.service import Service, ServiceCrash, WorkerSpec
 from repro.telemetry.relay import RegistryRelay, decode_state
 
-__all__ = ["MultiprocTransport", "ProcessShardBridge", "ShardChildSpec"]
+__all__ = ["MultiprocTransport", "ProcessShardBridge"]
 
 #: Default child start method (see module docstring).
 DEFAULT_START_METHOD = "spawn"
 
-#: How often (seconds) the child ships its registry snapshot to the
-#: parent; 0 disables the relay.  Snapshots ride the ordinary child
-#: output pipe, so they are strictly ordered with acks and replies.
-DEFAULT_RELAY_INTERVAL = 0.25
-
-#: Most frames the bridge writes into the child's inbox pipe before it
-#: sees the pipe empty again (the pipe's capacity bounds it too); the
-#: rest wait in the PULL socket, whose credits push back on collectors.
-DEFAULT_INBOX_FRAMES = 64
-
 #: Most frames the reader hands over per ring, so a streaming child
 #: cannot keep the handoff lock from the pump.
 _READER_BATCH = 64
-
-#: A pipe's unit of capacity: the kernel stores written bytes in pages.
-_PAGE = mmap.PAGESIZE
-
-#: Pipe capacity assumed where ``F_GETPIPE_SZ`` is missing (a macOS
-#: pipe starts at 16 KiB).
-_DEFAULT_PIPE_BYTES = 16384
-
-
-def _pipe_pages(conn) -> int:
-    """Capacity of *conn*'s pipe, in pages."""
-    try:
-        size = fcntl.fcntl(conn.fileno(), fcntl.F_GETPIPE_SZ)
-    except (AttributeError, OSError):
-        size = _DEFAULT_PIPE_BYTES
-    return max(size // _PAGE, 1)
-
-
-def _pipe_unread(conn) -> int:
-    """Bytes in *conn*'s pipe that its reader has not read yet."""
-    packed = fcntl.ioctl(conn.fileno(), termios.FIONREAD, b"\0\0\0\0")
-    return struct.unpack("i", packed)[0]
-
-
-def _frame_pages(nbytes: int) -> int:
-    """Most pipe pages one ``send_bytes`` of *nbytes* can take.
-
-    A write takes at most one fresh page per started page of its bytes
-    (the kernel only tops up the last page with a short tail); the
-    4-byte length header, written with the bytes or on its own, may
-    take one more.
-    """
-    return 1 + -(-nbytes // _PAGE)
-
-
-class _FramePipe:
-    """The writing end of one pipe, which knows when a frame fits.
-
-    A full pipe blocks its writer.  Every frame written counts as
-    unread until the pipe is seen empty (``FIONREAD``): then its reader
-    has taken everything so far.  A frame fits while that count, in
-    pipe pages, stays within the pipe's capacity and the frame count
-    below *max_frames*, so a write that fits cannot block.  A frame
-    larger than the whole pipe fits only a pipe seen empty, and its
-    write waits for the reader to take the rest.
-    """
-
-    def __init__(self, conn, max_frames: int = DEFAULT_INBOX_FRAMES) -> None:
-        self.conn = conn
-        self.window = _pipe_pages(conn)
-        self.max_frames = max_frames
-        # A pipe that already holds bytes counts as full until seen empty.
-        self.unread_pages = self.window if _pipe_unread(conn) else 0
-        self.unread_frames = 0
-
-    def fits(self, pages: int) -> bool:
-        if self.unread_pages and (
-            self.unread_pages + pages > self.window
-            or self.unread_frames >= self.max_frames
-        ):
-            if _pipe_unread(self.conn):
-                return False
-            self.unread_pages = self.unread_frames = 0
-        return True
-
-    def write(self, frame: bytes) -> None:
-        self.conn.send_bytes(frame)
-        self.unread_pages += _frame_pages(len(frame))
-        self.unread_frames += 1
-
-    def write_if_fits(self, frame: bytes) -> bool:
-        if not self.fits(_frame_pages(len(frame))):
-            return False
-        self.write(frame)
-        return True
-
-
-def _read_frame(conn) -> tuple:
-    return marshal.loads(conn.recv_bytes())
 
 
 def _split_report(payload, nbytes: int, window: int) -> list:
@@ -225,122 +152,6 @@ def _split_report(payload, nbytes: int, window: int) -> list:
     return chunks
 
 
-@dataclass(frozen=True)
-class ShardChildSpec:
-    """Everything a spawned shard process needs (must stay picklable)."""
-
-    shard_id: str
-    config: AggregatorConfig
-    start_seq: int = 1
-    relay_interval: float = DEFAULT_RELAY_INTERVAL
-
-
-def _shard_main(spec: ShardChildSpec, inbox, outbox) -> None:
-    """Child process entry point: a synchronously driven Aggregator.
-
-    *inbox* and *outbox* are the child's ends of its two pipes.
-    Frames in: ``("batch", bid, bytes)``, ``("req", rid, bytes)``,
-    ``("relay",)``, ``("stop",)``; EOF (the parent closed its end, or
-    died) stops the child too.
-    Frames out: ``("ack", bid, last_seq, aggregated_ts)``,
-    ``("reply", rid, bytes)``, ``("metrics", bytes)``,
-    ``("crashed", reason)``.
-
-    The child runs only the aggregator's store half: a batch is acked
-    once it is stored, and the bridge publishes the events it kept.
-    """
-    from repro.core.aggregator import Aggregator
-    from repro.metrics.registry import MetricsRegistry
-    from repro.telemetry.relay import encode_state
-
-    transport = Context()
-    aggregator = Aggregator(
-        transport, spec.config, registry=MetricsRegistry(),
-        name=spec.shard_id,
-    )
-    if aggregator.store.last_seq >= spec.start_seq:
-        # A durable store recovered *past* the parent's ack watermark
-        # (it logged batches whose acks never arrived).  Trim back to
-        # the watermark: the parent replays every unacked batch, so the
-        # replayed events regenerate their original sequence numbers
-        # and downstream watermark dedup works unchanged.  The acked
-        # history below the watermark survives the restart.
-        aggregator.store.discard_after(spec.start_seq - 1)
-    elif spec.start_seq > 1:
-        # Resume the sequence space where the acked history ended, so
-        # replayed in-flight batches get their original numbers.
-        aggregator.store.resume_at(spec.start_seq)
-    parent = multiprocessing.parent_process()
-    out = _FramePipe(outbox)
-
-    def _ship_metrics() -> None:
-        # Best-effort only: with no room in the output pipe the parent
-        # is behind on real work, and dropping a snapshot delays one
-        # relay tick.  Any other fault escapes and kills the child
-        # loudly.
-        state = aggregator.metrics.registry.export_state()
-        out.write_if_fits(marshal.dumps(("metrics", encode_state(state))))
-
-    last_relay = time.monotonic()
-
-    def _maybe_relay() -> None:
-        nonlocal last_relay
-        if spec.relay_interval <= 0:
-            return
-        now = time.monotonic()
-        if now - last_relay >= spec.relay_interval:
-            _ship_metrics()
-            last_relay = now
-
-    while True:
-        if not inbox.poll(0.1):
-            if parent is not None and not parent.is_alive():
-                break
-            _maybe_relay()
-            continue
-        try:
-            frame = _read_frame(inbox)
-        except EOFError:
-            break
-        kind = frame[0]
-        if kind == "stop":
-            break
-        try:
-            if kind == "batch":
-                stored = aggregator._store_batch(decode_report(frame[2]))
-                aggregated_ts = stored[3] if stored is not None else None
-                out.write(marshal.dumps(
-                    ("ack", frame[1], aggregator.store.last_seq, aggregated_ts)
-                ))
-            elif kind == "req":
-                rid, data = frame[1], frame[2]
-                request = pickle.loads(data)
-                try:
-                    answer = aggregator._answer(request)
-                except Exception as exc:  # delivered to the requester
-                    answer = exc
-                out.write(marshal.dumps(("reply", rid, pickle.dumps(answer))))
-            elif kind == "relay":
-                _ship_metrics()
-                last_relay = time.monotonic()
-            _maybe_relay()
-        except Exception as exc:
-            # The note is best-effort: a parent that closed the pipe
-            # learns of the death from the child's sentinel.
-            with contextlib.suppress(OSError):
-                out.write_if_fits(
-                    marshal.dumps(("crashed", f"{type(exc).__name__}: {exc}"))
-                )
-            raise
-    # Graceful exit: a last snapshot (so the parent's merged series end
-    # at the child's final truth), then flush the durable backend
-    # (no-op for memory) so a clean stop leaves no torn tail for the
-    # next incarnation.
-    if spec.relay_interval > 0:
-        _ship_metrics()
-    aggregator.store.close()
-
-
 class ProcessShardBridge(StoredBatchPublisher, Service):
     """Parent-side stand-in for one aggregator shard running out-of-proc.
 
@@ -360,7 +171,7 @@ class ProcessShardBridge(StoredBatchPublisher, Service):
         context: Context,
         registry=None,
         start_method: str = DEFAULT_START_METHOD,
-        inbox_frames: int = DEFAULT_INBOX_FRAMES,
+        inbox_frames: int = DEFAULT_MAX_FRAMES,
         relay_interval: float = DEFAULT_RELAY_INTERVAL,
     ) -> None:
         super().__init__(shard_id, registry)

@@ -1,17 +1,22 @@
 """Import budget: a spawned shard child imports only what it runs.
 
 Every multiproc shard start and every respawn pays the child's
-interpreter boot, and the boot is mostly imports.  The package
-``__init__``s on the child's path re-export lazily
-(:func:`repro.util.lazy.lazy_exports`), so importing the three modules
-``_shard_main`` needs must not drag in the gateway, Ripple, the
-telemetry HTTP server or the filesystem models.
+interpreter boot, and the boot is mostly imports.  A ``spawn`` child
+imports the modules that its target and the pickled spec name, and the
+spawn target (``repro.core.shard``) runs only the store half; the
+package ``__init__``s on its path re-export lazily
+(:func:`repro.util.lazy.lazy_exports`).  So the child must not drag in
+the aggregator, the sockets, the service runtime, the gateway, Ripple,
+the telemetry HTTP server or the filesystem models.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import multiprocessing.context
+import pickle
+import pickletools
 import subprocess
 import sys
 from pathlib import Path
@@ -20,13 +25,55 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: What the shard child imports: its entry point, the aggregator it
-#: drives and the store backends it opens.
-CHILD_IMPORTS = (
-    "repro.msgq.multiproc",
-    "repro.core.aggregator",
-    "repro.core.storage",
-)
+
+def _pickled_modules(obj):
+    """The ``repro`` modules that unpickling *obj* imports."""
+    modules = set()
+    for opcode, arg, _pos in pickletools.genops(pickle.dumps(obj, protocol=2)):
+        if opcode.name == "GLOBAL":
+            modules.add(arg.split(" ", 1)[0])
+    return {name for name in modules if name.split(".")[0] == "repro"}
+
+
+@pytest.fixture(scope="module")
+def spawn_target():
+    """The target and spec a ProcessShardBridge hands its child process.
+
+    The bridge is built with ``Process.start`` recording the target and
+    its arguments instead of starting a child.
+    """
+    from repro.core.aggregator import AggregatorConfig
+    from repro.msgq.multiproc import MultiprocTransport
+
+    seen = []
+    start = multiprocessing.context.SpawnProcess.start
+    multiprocessing.context.SpawnProcess.start = lambda self: seen.append(
+        (self._target, self._args[0])
+    )
+    transport = MultiprocTransport()
+    try:
+        transport.process_shard(
+            "s0",
+            AggregatorConfig(
+                inbound_endpoint="inproc://budget.reports",
+                publish_endpoint="inproc://budget.events",
+                api_endpoint="inproc://budget.api",
+            ),
+        )
+    finally:
+        multiprocessing.context.SpawnProcess.start = start
+        transport.close()
+    [(target, spec)] = seen
+    return target, spec
+
+
+@pytest.fixture(scope="module")
+def child_imports(spawn_target):
+    """What the shard child imports: the modules its spawn target and
+    the pickled spec (config included) name."""
+    target, spec = spawn_target
+    return tuple(sorted(_pickled_modules(target) | _pickled_modules(spec)))
+
 
 #: Modules a shard child never runs.
 CHILD_NEVER = (
@@ -39,6 +86,13 @@ CHILD_NEVER = (
     "repro.telemetry.alerts",
     "repro.lustre.filesystem",
     "http.server",
+    # The child runs the store half alone: no aggregator, no sockets or
+    # context, no bridge and no service runtime or scheduler.
+    "repro.core.aggregator",
+    "repro.msgq.multiproc",
+    "repro.msgq.sockets",
+    "repro.msgq.context",
+    "repro.runtime",
     # The bridge's pipes carry frames with no queue or feeder thread.
     "multiprocessing.queues",
     # repro.util's helpers the child has no use for.
@@ -48,7 +102,8 @@ CHILD_NEVER = (
 )
 
 LAZY_PACKAGES = (
-    "repro", "repro.core", "repro.lustre", "repro.telemetry", "repro.util",
+    "repro", "repro.core", "repro.lustre", "repro.metrics", "repro.msgq",
+    "repro.telemetry", "repro.util",
 )
 
 
@@ -74,9 +129,16 @@ def _loaded_after(*modules):
 
 
 class TestChildImportSet:
-    def test_shard_child_loads_none_of_what_it_never_runs(self):
-        loaded = _loaded_after(*CHILD_IMPORTS)
-        assert set(CHILD_IMPORTS) <= loaded
+    def test_spawn_target_and_spec_live_in_the_lean_module(
+        self, spawn_target, child_imports
+    ):
+        target, spec = spawn_target
+        assert target.__module__ == type(spec).__module__ == "repro.core.shard"
+        assert child_imports == ("repro.core.shard",)
+
+    def test_shard_child_loads_none_of_what_it_never_runs(self, child_imports):
+        loaded = _loaded_after(*child_imports)
+        assert set(child_imports) <= loaded
         assert sorted(loaded & set(CHILD_NEVER)) == []
 
     def test_import_repro_loads_no_subpackage_but_util(self):

@@ -8,6 +8,8 @@
 * The child's metrics relay drops a snapshot only when its output
   pipe has no room; any other fault on that path kills the child
   loudly.
+* The child runs only the store half of a shard, and answers the
+  historic API as an in-process ``Aggregator`` over the same batches.
 """
 
 import fcntl
@@ -18,12 +20,18 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.core.aggregator import AggregatorConfig
-from repro.msgq.multiproc import ShardChildSpec, _read_frame, _shard_main
+from repro.core.aggregator import Aggregator
+from repro.core.events import EventType, FileEvent
+from repro.core.shard import AggregatorConfig, ShardChildSpec, _shard_main
+from repro.metrics.registry import MetricsRegistry
+from repro.msgq import Context
+from repro.msgq.multiproc import MultiprocTransport
+from repro.msgq.pipes import _read_frame
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -172,3 +180,92 @@ class TestChildMetricsRelay:
         events_q[1].send_bytes(marshal.dumps(("occupied",)))
         _run_child([("relay",), ("stop",)], events_q)
         assert _drain(events_q) == [("occupied",)]
+
+
+#: What the child's ``stats`` answer lacks beside an in-process shard's:
+#: the series of the publish half and of the PULL socket, which the
+#: bridge owns in the parent.
+_PUBLISH_HALF = {
+    "events_published", "batches_published",
+    "inbound_depth", "inbound_hwm", "inbound_credits",
+}
+
+
+def _reports():
+    kinds = [EventType.CREATED, EventType.MODIFIED, EventType.DELETED]
+    return [
+        [
+            FileEvent(
+                event_type=kinds[(batch + i) % 3],
+                path=f"/{'ab'[i % 2]}/r{batch}/f{i}",
+                is_dir=False,
+                timestamp=10.0 * batch + i,
+                name=f"f{i}",
+                source="lustre",
+            )
+            for i in range(5 + batch)
+        ]
+        for batch in range(4)
+    ]
+
+
+_REQUESTS = [
+    {"op": "since", "seq": 0},
+    {"op": "since", "seq": 7, "limit": 5},
+    {"op": "recent", "count": 6},
+    {"op": "query", "path_prefix": "/a"},
+    {"op": "query", "event_type": "modified", "since_time": 12.0},
+    {"op": "query", "until_time": 25.0, "limit": 4},
+    {"op": "last_seq"},
+    {"op": "stats"},
+]
+
+
+def _answers(transport, shard, config, busy=lambda: False):
+    """Feed *shard* the reports, then ask it every request in turn."""
+    push = transport.push().connect(config.inbound_endpoint)
+    for report in _reports():
+        push.send(report)
+    deadline = time.monotonic() + 20.0
+    while shard.pump_once() or busy():
+        assert time.monotonic() < deadline
+        time.sleep(0.002)
+    req = transport.req(timeout=10.0).connect(config.api_endpoint)
+    return [req.request(r, serve=shard.serve_api_once) for r in _REQUESTS]
+
+
+class TestStoreHalf:
+    def test_child_answers_like_an_in_process_aggregator(self):
+        config = AggregatorConfig(
+            inbound_endpoint="inproc://half.reports",
+            publish_endpoint="inproc://half.events",
+            api_endpoint="inproc://half.api",
+            store_max_events=20,
+            trace_sample_rate=0.0,
+        )
+        context = Context()
+        aggregator = Aggregator(
+            context, config, registry=MetricsRegistry(), name="s0"
+        )
+        transport = MultiprocTransport()
+        bridge = transport.process_shard("s0", config, relay_interval=0)
+        try:
+            expected = _answers(context, aggregator, config)
+            got = _answers(
+                transport, bridge, config, busy=lambda: bridge.busy
+            )
+        finally:
+            aggregator.close()
+            context.close()
+            transport.close()
+        assert got[:-1] == expected[:-1]
+        assert got[0] and got[3] and got[4] and got[-2] == 26
+        stats, inproc_stats = got[-1], expected[-1]
+        assert set(stats) == set(inproc_stats) - _PUBLISH_HALF
+        health = stats.pop("health")
+        assert set(health) == set(inproc_stats.pop("health"))
+        assert health["state"] == "running"
+        assert stats == {key: inproc_stats[key] for key in stats}
+        assert stats["events_stored"] == 26
+        assert stats["store_rotated"] == 6
+        assert stats["api_requests"] == len(_REQUESTS)

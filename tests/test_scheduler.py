@@ -25,7 +25,7 @@ from repro.cloudq import ReliableQueue, ServerlessExecutor
 from repro.core.events import EventType, FileEvent
 from repro.errors import WouldBlock
 from repro.metrics import MetricsRegistry
-from repro.msgq.multiproc import _FramePipe
+from repro.msgq.pipes import _FramePipe
 from repro.runtime import (
     RestartPolicy,
     Service,

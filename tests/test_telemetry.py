@@ -666,6 +666,82 @@ class TestMultiprocScrapeAcceptance:
             cluster.shutdown()
 
 
+class TestMultiprocScrapeSeriesSet:
+    """A respawned shard child relays the same series as the one it
+    replaced: a SIGKILL changes values, never the set a scrape shows."""
+
+    @staticmethod
+    def _shard_series(exposition: str) -> set:
+        """``family{labels}`` of every sample under a shard scope."""
+        return {
+            line.rsplit(" ", 1)[0]
+            for line in exposition.splitlines()
+            if not line.startswith("#") and 'scope="shard' in line
+        }
+
+    def test_series_set_survives_child_sigkill(self):
+        from repro.cluster import ClusterConfig, ClusterMonitor
+        from repro.lustre import LustreFilesystem
+        from repro.lustre.mds import DnePolicy
+
+        fs = LustreFilesystem(
+            num_mds=2, mdts_per_mds=2, dne_policy=DnePolicy.ROUND_ROBIN
+        )
+        cluster = ClusterMonitor(
+            fs,
+            ClusterConfig(
+                num_shards=2,
+                namespace="series-set",
+                transport="multiproc",
+                telemetry=TelemetryConfig(eval_interval=0.05),
+            ),
+        )
+        cluster.subscribe(lambda _seq, _event: None)
+        for index in range(8):
+            fs.makedirs(f"/proj/d{index}")
+        cluster.start()
+
+        def load(start: int, count: int) -> None:
+            for index in range(start, start + count):
+                fs.create(f"/proj/d{index % 8}/f{index}.dat")
+
+        def relayed_after(merges: dict) -> bool:
+            # Two merges past the mark: the second one left a child
+            # that had already handled the load sent before the mark.
+            return all(
+                bridge.relay_merges >= merges[shard_id] + 2
+                for shard_id, bridge in cluster.bridges.items()
+            )
+
+        try:
+            load(0, 60)
+            assert wait_for(lambda: cluster.stats().events_stored >= 60)
+            marks = {s: b.relay_merges for s, b in cluster.bridges.items()}
+            assert wait_for(lambda: relayed_after(marks))
+            scrape = fetch(cluster.telemetry.url + "/metrics")
+            before = self._shard_series(scrape)
+            assert {"shard0", "shard1"} == {
+                label.split('scope="', 1)[1].split('"', 1)[0]
+                for label in before
+            }
+
+            bridge = cluster.bridges["shard0"]
+            bridge.kill_child()
+            load(60, 60)
+            assert wait_for(lambda: cluster.stats().events_stored >= 120)
+            assert wait_for(
+                lambda: bridge.metrics.snapshot()["child_restarts"] >= 1
+            )
+            marks = {s: b.relay_merges for s, b in cluster.bridges.items()}
+            assert wait_for(lambda: relayed_after(marks))
+            after = self._shard_series(
+                fetch(cluster.telemetry.url + "/metrics")
+            )
+            assert sorted(after ^ before) == []
+        finally:
+            cluster.shutdown()
+
+
 class TestDeterministicBridgeRelay:
     """Deterministic (pump-driven) relay via request_metrics()."""
 

@@ -56,7 +56,8 @@ from repro.msgq.framing import (
     encode_entries,
     encode_report,
 )
-from repro.msgq.multiproc import MultiprocTransport, _pipe_unread
+from repro.msgq.multiproc import MultiprocTransport
+from repro.msgq.pipes import _pipe_unread
 from repro.util.clock import ManualClock
 
 
